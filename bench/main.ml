@@ -20,9 +20,7 @@
 module E = Ndp_experiments
 
 (* A 256-instance sample of cholesky's first nest, with a compile context,
-   for the window-size preprocessing benchmarks: the sliced path runs
-   [Dep.analyze] once per call, the reanalyze oracle once per (candidate,
-   chunk). *)
+   for the window-sizer benchmark. *)
 let choose_size_fixture () =
   let kernel = Ndp_workloads.Suite.find "cholesky" in
   let config = Ndp_sim.Config.default in
@@ -233,9 +231,9 @@ let micro ?(json = false) () =
     Test.make ~name:"dependence-analyze-bucketed-384"
       (Staged.stage (fun () -> Dep.analyze dep_resolver dep_stream))
   in
-  let bench_dep_naive =
-    Test.make ~name:"dependence-analyze-naive-384"
-      (Staged.stage (fun () -> Dep.analyze_naive dep_resolver dep_stream))
+  let bench_dep_banded =
+    Test.make ~name:"dependence-analyze-band8-384"
+      (Staged.stage (fun () -> Dep.analyze ~band:8 dep_resolver dep_stream))
   in
   (* Fault-injection overhead: the [?faults] hook adds one option branch
      per link traversal when disabled, and a plan that touches no link on
@@ -300,21 +298,10 @@ let micro ?(json = false) () =
                    { Ndp_core.Pipeline.partitioned_defaults with Ndp_core.Pipeline.fuse = true })
                 dnn)))
   in
-  (* Window-size preprocessing on a 256-instance sample. The sampled
-     implementation compiles every (candidate, chunk) pair with the
-     dependence analysis done once and sliced per chunk; the reanalyze
-     oracle re-runs the analysis for every pair; the analytic path prices
+  (* Window-size preprocessing on a 256-instance sample: the sizer prices
      instances once with the closed-form cost model and compiles only to
      break ties. *)
   let cs_ctx, cs_metas = choose_size_fixture () in
-  let bench_choose_sampled =
-    Test.make ~name:"choose-size-sampled-256"
-      (Staged.stage (fun () -> Ndp_core.Window.choose_size cs_ctx cs_metas ~max:8))
-  in
-  let bench_choose_reanalyze =
-    Test.make ~name:"choose-size-reanalyze-256"
-      (Staged.stage (fun () -> Ndp_core.Window.choose_size_reanalyze cs_ctx cs_metas ~max:8))
-  in
   let bench_choose_analytic =
     Test.make ~name:"choose-size-analytic-256"
       (Staged.stage (fun () -> Ndp_core.Window.choose_size_analytic cs_ctx cs_metas ~max:8))
@@ -388,8 +375,7 @@ let micro ?(json = false) () =
         bench_metrics_disabled; bench_metrics_enabled; bench_pipeline_obs;
         bench_spans_disabled; bench_spans_enabled;
         bench_pipeline_spans_disabled; bench_pipeline_spans_enabled;
-        bench_dep_bucketed; bench_dep_naive; bench_choose_sampled; bench_choose_reanalyze;
-        bench_choose_analytic;
+        bench_dep_bucketed; bench_dep_banded; bench_choose_analytic;
         bench_inject_disabled; bench_inject_enabled; bench_pipeline_fused;
         bench_net_send; bench_load_hit; bench_load_miss; bench_exec_task;
       ]

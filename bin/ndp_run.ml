@@ -85,9 +85,9 @@ module Args = struct
       & opt (some window_conv) None
       & info [ "window" ]
           ~doc:
-            "Window size: a fixed integer, or $(b,analytic) to size each nest with the \
-             closed-form static cost model instead of sampled compilation (default: adaptive \
-             sampled sizing per nest).")
+            "Window size: a fixed integer, or $(b,analytic) — an alias of the default, which \
+             sizes each nest with the closed-form static cost model, kept for its scheme name \
+             $(b,partitioned\\(analytic\\)).")
 
   let threshold =
     Arg.(

@@ -13,7 +13,9 @@
 # against itself and provably rejects a synthetic 2x regression),
 # the fusion reconciliation gate (the fusion
 # decision table must show a real >=15% measured flit-hop reduction on
-# the residual-block chain workload), then the static analysis suite
+# the residual-block chain workload), the end-to-end benchmark's
+# self-tests (`perfbench/run.py --self-test`: cheap and untimed — it
+# checks the harness, it does not measure), then the static analysis suite
 # (IR lint + schedule race detection over all 14 workloads under the
 # default, partitioned, and fused partitioned schemes — the fused
 # schedules are race-validated over the whole suite here). Every phase
@@ -302,6 +304,16 @@ fault_gate() (
     >/dev/null
 )
 
+perfbench_selftest_gate() (
+  # The end-to-end benchmark's harness self-tests (percentiles, seeded
+  # inputs, metric names, tampered outputs must fail). Untimed: this
+  # checks the harness, it measures nothing.
+  set -e
+  if command -v python3 >/dev/null 2>&1; then
+    python3 perfbench/run.py --self-test >/dev/null
+  fi
+)
+
 phase build dune build
 phase runtest dune runtest
 phase obs obs_gate
@@ -312,6 +324,7 @@ phase serve serve_gate
 phase telemetry telemetry_gate
 phase bench-sentinel bench_sentinel_gate
 phase fusion fusion_gate
+phase perfbench-selftest perfbench_selftest_gate
 phase check dune exec bin/ndp_run.exe -- check --fuse --jobs "$jobs"
 
 if [ -n "$failures" ]; then

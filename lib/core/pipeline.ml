@@ -358,8 +358,8 @@ let run_job ?pool ?(obs = Ndp_obs.Sink.none) (j : job) =
         let w =
           match opts.window with
           | Fixed k -> max 1 k
-          | Adaptive -> Window.choose_size ?pool ctx metas ~max:config.Config.max_window
-          | Analytic -> Window.choose_size_analytic ?pool ctx metas ~max:config.Config.max_window
+          | Adaptive | Analytic ->
+            Window.choose_size_analytic ?pool ctx metas ~max:config.Config.max_window
         in
         Ndp_obs.Span.attr_int spans sp_w "w" w;
         Ndp_obs.Span.exit spans sp_w;
@@ -400,23 +400,28 @@ let run_job ?pool ?(obs = Ndp_obs.Sink.none) (j : job) =
            (the analysis is pairwise — see [Window.estimate_sliced]), and
            [analyze] emits deps in ascending (src, dst) order, so each
            chunk's slice is one pointer walk instead of a re-analysis that
-           re-resolves every reference in the window. *)
+           re-resolves every reference in the window. [Window.compile]
+           reads only in-chunk pairs, so the analysis is banded to the
+           window — except under fusion, whose first-kill rule needs every
+           later re-write in view. Fusion and fault repair do not compose:
+           repair may remap a chain member off its node, stranding the
+           L1-resident intermediate. *)
+        let fuse = opts.fuse && repair_plan = None in
         let sp_d = Ndp_obs.Span.enter spans "deps" in
         Ndp_obs.Span.attr_str spans sp_d "nest" nest.Loop.nest_name;
         let deps_arr =
           Array.of_list
-            (Dep.analyze ctx.Context.compiler_resolve
+            (Dep.analyze
+               ?band:(if fuse then None else Some w)
+               ctx.Context.compiler_resolve
                (List.map (fun (m : Window.meta) -> m.Window.inst) metas))
         in
         Ndp_obs.Span.attr_int spans sp_d "deps" (Array.length deps_arr);
         Ndp_obs.Span.exit spans sp_d;
         (* The fusion plan is computed once per nest against the full
-           dependence analysis (the first-kill rule needs every later
-           sweep's re-write in view) and sliced per chunk below. Fusion
-           and fault repair do not compose: repair may remap a chain
-           member off its node, stranding the L1-resident intermediate. *)
+           dependence analysis and sliced per chunk below. *)
         let fusion_slots =
-          if opts.fuse && repair_plan = None then begin
+          if fuse then begin
             let sp_f = Ndp_obs.Span.enter spans "fusion" in
             Ndp_obs.Span.attr_str spans sp_f "nest" nest.Loop.nest_name;
             let metas_arr = Array.of_list metas in
@@ -571,11 +576,6 @@ let run ?config ?tweaks ?(validate = false) ?(capture = false) ?pool ?obs ?fault
 
 (* --- Batched simulation ------------------------------------------------ *)
 
-type batch_job = Job.t
-
-let batch_job ?config ?tweaks ?faults ?repair scheme kernel =
-  job_make ?config ?tweaks ?faults ?repair scheme kernel
-
 (* Each job builds its own machine, engine, context and inspector, and a
    [Kernel.t] is immutable, so jobs share no mutable state and each result
    is byte-identical to the corresponding solo [run]. Metrics follow the
@@ -624,6 +624,10 @@ type replayed = {
    since task operands carry resolved virtual addresses. *)
 let replay ?(config = Config.default) ?(tweaks = no_tweaks) ?(obs = Ndp_obs.Sink.none) kernel
     emitted =
+  (* The span opens before the machine and engine are built, so their
+     construction is attributed to the replay rather than to no phase. *)
+  let spans = obs.Ndp_obs.Sink.spans in
+  let sp = Ndp_obs.Span.enter spans "replay" in
   let machine = Machine.create ~obs config in
   (match config.Config.memory_mode with
   | Config.Flat ->
@@ -636,8 +640,6 @@ let replay ?(config = Config.default) ?(tweaks = no_tweaks) ?(obs = Ndp_obs.Sink
   Ndp_sim.Network.set_distance_factor (Machine.network machine) tweaks.distance_factor;
   Machine.set_mc_overrides machine tweaks.mc_overrides;
   let engine = Engine.create ~obs machine in
-  let spans = obs.Ndp_obs.Sink.spans in
-  let sp = Ndp_obs.Span.enter spans "replay" in
   List.iter (fun batch -> Engine.run engine (List.map (apply_tweaks tweaks) batch)) emitted;
   let stats = Ndp_sim.Stats.copy (Engine.stats engine) in
   Ndp_obs.Span.exit ~cycles:(Ndp_sim.Stats.finish_time stats) spans sp;

@@ -7,7 +7,13 @@
     (the profiling-on-beginning-iterations effect of Section 4.5), and the
     simulated L1s see exactly the schedule the compiler produced. *)
 
-type window_policy = Adaptive | Analytic | Fixed of int
+type window_policy =
+  | Adaptive  (** sized per nest by {!Window.choose_size_analytic} *)
+  | Analytic
+      (** the same sizer under its older name; kept so the scheme name
+          [partitioned(analytic)] and the wire spelling ["analytic"] stay
+          valid *)
+  | Fixed of int
 
 type part_options = {
   window : window_policy;
@@ -159,7 +165,7 @@ val run :
     [~validate:true] additionally records a {!schedule_trace} per emitted
     window (or per nest under the default scheme) so the schedule can be
     re-checked against ground-truth dependences after the run. [pool]
-    parallelizes the adaptive window-size preprocessing across candidate
+    parallelizes the window sizer's tie-break re-scoring across candidate
     sizes; the result is bit-identical with and without it. [obs] threads
     an observability sink through the machine and engine (per-link, cache,
     core metric families plus task/message trace events) and records each
@@ -179,22 +185,10 @@ val run :
 
 (** {1 Batched and replayed simulation} *)
 
-type batch_job = Job.t
-(** A batch entry is an ordinary {!Job.t}. *)
-
-val batch_job :
-  ?config:Ndp_sim.Config.t ->
-  ?tweaks:tweaks ->
-  ?faults:Ndp_fault.Plan.t ->
-  ?repair:bool ->
-  scheme ->
-  Kernel.t ->
-  batch_job
-
 val run_batch :
   ?pool:Ndp_prelude.Pool.t ->
   ?metrics:Ndp_obs.Metrics.Sharded.t ->
-  batch_job list ->
+  Job.t list ->
   result list
 (** Run every job, concurrently when given a [pool], returning results in
     input order. Each job is an independent simulation — its own machine,

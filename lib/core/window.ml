@@ -263,20 +263,13 @@ let estimate_of_compiled ~sync_links (compiled : compiled) =
   let movement = List.fold_left (fun acc r -> acc + r.est_movement) 0 compiled.reports in
   movement + (sync_links * compiled.sync_count)
 
-let movement_estimate (ctx : Context.t) metas ~window =
-  let ctx = Context.fork_for_estimate ctx in
-  let sync_links = sync_links_of ctx in
-  let windows = chunk metas window in
-  List.fold_left
-    (fun acc w -> acc + estimate_of_compiled ~sync_links (compile ctx w))
-    0 windows
-
-(* Like [movement_estimate], but against a forked context and with the
-   nest sample's dependence analysis computed once ([all_deps], indices
-   into [sample]) and sliced per chunk: a dependence whose endpoints both
-   fall inside a chunk is exactly what analyzing the chunk alone would
-   find (the analysis is pairwise), so re-deriving it per candidate
-   window size only repeats work. *)
+(* The sampled estimate: the sample's total movement plus sync cost when
+   every chunk of [window] instances is actually compiled, on a forked
+   context. The nest sample's dependence analysis is computed once
+   ([all_deps], indices into [sample]) and sliced per chunk: a dependence
+   whose endpoints both fall inside a chunk is exactly what analyzing the
+   chunk alone would find (the analysis is pairwise), so re-deriving it
+   per candidate window size only repeats work. *)
 let estimate_sliced (ctx : Context.t) sample all_deps ~window =
   let ctx = Context.fork_for_estimate ctx in
   let sync_links = sync_links_of ctx in
@@ -306,7 +299,7 @@ let preprocessing_sample = 256
 
 (* A nest whose references are all indirect gives the movement estimate
    nothing to discriminate on: every candidate size scores the inspector
-   fallback identically, so the sampled search is pure waste. Such nests
+   fallback identically, so sizing is pure waste. Such nests
    run at window size 1 (and lint surfaces a W402). *)
 let all_non_affine metas =
   metas <> []
@@ -317,34 +310,6 @@ let all_non_affine metas =
            (fun r -> not (Ndp_ir.Reference.analyzable r))
            (Ndp_ir.Stmt.output stmt :: Ndp_ir.Stmt.inputs stmt))
        metas
-
-let choose_size ?pool (ctx : Context.t) metas ~max:max_size =
-  if max_size < 1 || all_non_affine metas then 1
-  else begin
-    let sample = Array.of_list (List.filteri (fun i _ -> i < preprocessing_sample) metas) in
-    let all_deps =
-      Dep.analyze ctx.Context.compiler_resolve
-        (Array.to_list (Array.map (fun m -> m.inst) sample))
-    in
-    let estimate w = estimate_sliced ctx sample all_deps ~window:w in
-    (* Size 1 is evaluated first and serially: it resolves (and thereby
-       page-allocates) every address the sample can reach, so the
-       remaining candidates — possibly running concurrently on forked
-       contexts — only ever read the machine's page table and predictor. *)
-    let m1 = estimate 1 in
-    let rest = List.init (max 0 (max_size - 1)) (fun i -> i + 2) in
-    let estimates =
-      match pool with
-      | Some p -> Ndp_prelude.Pool.parallel_map p estimate rest
-      | None -> List.map estimate rest
-    in
-    let best_w, _ =
-      List.fold_left2
-        (fun (best_w, best_m) w m -> if m < best_m then (w, m) else (best_w, best_m))
-        (1, m1) rest estimates
-    in
-    best_w
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Analytic (closed-form) movement estimation.
@@ -387,7 +352,7 @@ let note_analytic (ctx : Context.t) ~store_node ~kept (split : Splitter.t) =
   | Some (va, _) -> Context.note_cached ctx ~line:(Location.line_of ctx va) ~node:store_node
   | None -> ()
 
-let analytic_of ?deps (ctx : Context.t) metas ~window =
+let analytic_of (ctx : Context.t) metas ~window =
   if window <= 0 then invalid_arg "Window.analytic_of: window must be positive";
   let ctx = Context.fork_for_estimate ctx in
   let arr = Array.of_list metas in
@@ -412,26 +377,16 @@ let analytic_of ?deps (ctx : Context.t) metas ~window =
       (* In-chunk dependences whose endpoints sit on different nodes each
          cost one handshake; duplicate (producer, consumer) pairs collapse
          like [compile]'s arc set does. *)
-      let chunk_deps =
-        match deps with
-        | Some d -> List.filter (fun (d : Dep.dep) -> d.Dep.src >= lo && d.Dep.dst < hi) d
-        | None ->
-          let insts = List.init (hi - lo) (fun k -> arr.(lo + k).inst) in
-          List.map
-            (fun (d : Dep.dep) -> { d with Dep.src = d.Dep.src + lo; Dep.dst = d.Dep.dst + lo })
-            (Dep.analyze ctx.Context.compiler_resolve insts)
-      in
       let pairs = Hashtbl.create 16 in
       List.iter
         (fun (d : Dep.dep) ->
-          if
-            arr.(d.Dep.src).default_node <> arr.(d.Dep.dst).default_node
-            && not (Hashtbl.mem pairs (d.Dep.src, d.Dep.dst))
+          let src = lo + d.Dep.src and dst = lo + d.Dep.dst in
+          if arr.(src).default_node <> arr.(dst).default_node && not (Hashtbl.mem pairs (src, dst))
           then begin
-            Hashtbl.add pairs (d.Dep.src, d.Dep.dst) ();
+            Hashtbl.add pairs (src, dst) ();
             incr syncs
           end)
-        chunk_deps;
+        (Dep.analyze ctx.Context.compiler_resolve (List.init (hi - lo) (fun k -> arr.(lo + k).inst)));
       go hi
     end
   in
@@ -448,8 +403,10 @@ let choose_size_analytic ?pool (ctx : Context.t) metas ~max:max_size =
   else begin
     let sample = Array.of_list (List.filteri (fun i _ -> i < preprocessing_sample) metas) in
     let n = Array.length sample in
+    (* Both the analytic sync count and the sampled tie-breaker read only
+       pairs inside one chunk of at most [max_size] instances. *)
     let all_deps =
-      Dep.analyze ctx.Context.compiler_resolve
+      Dep.analyze ~band:max_size ctx.Context.compiler_resolve
         (Array.to_list (Array.map (fun m -> m.inst) sample))
     in
     (* One un-chunked walk over the sample decomposes every candidate
@@ -529,8 +486,8 @@ let choose_size_analytic ?pool (ctx : Context.t) metas ~max:max_size =
     | [ w ] -> w
     | ties ->
       (* Too close to call analytically: re-score only the contested
-         candidates with the sampled estimator, keeping [choose_size]'s
-         smallest-window tie-break. The walk above already resolved (and
+         candidates with the sampled estimator; among equal estimates the
+         smallest window wins. The walk above already resolved (and
          page-allocated) every address the sample reaches, so pooled
          evaluation only reads shared machine state. *)
       let estimate w = estimate_sliced ctx sample all_deps ~window:w in
@@ -547,14 +504,3 @@ let choose_size_analytic ?pool (ctx : Context.t) metas ~max:max_size =
       in
       best_w
   end
-
-let choose_size_reanalyze (ctx : Context.t) metas ~max:max_size =
-  let sample = List.filteri (fun i _ -> i < preprocessing_sample) metas in
-  let rec best w best_w best_m =
-    if w > max_size then best_w
-    else begin
-      let m = movement_estimate ctx sample ~window:w in
-      if m < best_m then best (w + 1) w m else best (w + 1) best_w best_m
-    end
-  in
-  best 1 1 max_int

@@ -4,9 +4,9 @@
     the variable2node map propagates L1 placements from already-scheduled
     subcomputations to later MSTs, inter-statement dependences are turned
     into ordered result arcs, and the synchronization graph is minimized.
-    The window-size preprocessing compiles each nest under every window
-    size from 1 to the configured maximum and keeps the size with the
-    least estimated data movement. *)
+    The window-size preprocessing prices each nest under every window size
+    from 1 to the configured maximum and keeps the size with the least
+    estimated data movement. *)
 
 type meta = {
   group : int; (** global statement-instance id *)
@@ -60,16 +60,6 @@ val compile :
     becomes L1-local when the slot elides it. An absent array or all-
     [None] slots compile exactly as without [fusion]. *)
 
-val choose_size : ?pool:Ndp_prelude.Pool.t -> Context.t -> meta list -> max:int -> int
-(** The preprocessing step of Section 4.4: pick the window size in
-    [1..max] minimizing total estimated data movement over the instance
-    stream of one loop nest. The nest sample's dependences are analyzed
-    once and sliced per chunk; with [pool], candidate sizes 2..max are
-    evaluated concurrently over forked estimate contexts (size 1 runs
-    first, serially, warming the page table so the concurrent candidates
-    are read-only on shared machine state). The chosen size is
-    independent of [pool]. *)
-
 type analytic = {
   a_est : int array;
       (** margin-ruled movement estimate per instance, in links — the same
@@ -77,22 +67,25 @@ type analytic = {
   a_syncs : int;  (** modeled cross-node synchronization handshakes *)
 }
 
-val analytic_of : ?deps:Ndp_ir.Dependence.dep list -> Context.t -> meta list -> window:int -> analytic
+val analytic_of : Context.t -> meta list -> window:int -> analytic
 (** Closed-form counterpart of compiling the stream under a fixed window
     size: per-statement movement from the splitter's estimates with the
     variable2node map maintained at located (rather than scheduled) nodes,
     and one handshake per distinct in-chunk cross-node dependence pair.
-    No tasks are built and no schedule is run. [deps], when given, must be
-    the dependence analysis of exactly these instances (indices local to
-    the list). *)
+    No tasks are built and no schedule is run. *)
 
 val choose_size_analytic : ?pool:Ndp_prelude.Pool.t -> Context.t -> meta list -> max:int -> int
-(** Analytic window-size preprocessing: one walk over the nest sample
-    prices every candidate size (each statement keeps its reuse-aware
-    estimate when its L1 providers share the chunk, and its cold estimate
-    when the boundary cuts them off), and the sampled estimator
-    ({!choose_size}'s engine) is consulted only for candidates within 25%
-    of the analytic minimum. Nests with only non-affine references
+(** The window sizer — the preprocessing step of Section 4.4: pick the
+    window size in [1..max] minimizing estimated data movement plus
+    synchronization cost over a sample of one loop nest's instance stream.
+    One walk over the sample prices every candidate size (each statement
+    keeps its reuse-aware estimate when its L1 providers share the chunk,
+    and its cold estimate when the boundary cuts them off). Only when
+    several candidates land within 10% of the analytic minimum are those
+    candidates re-scored by compiling the sample (dependences analyzed
+    once, banded to [max], and sliced per chunk), concurrently over [pool]
+    when given; the smallest window wins ties. The chosen size is
+    independent of [pool]. Nests with only non-affine references
     short-circuit to size 1. *)
 
 val sync_links_of : Context.t -> int
@@ -105,13 +98,4 @@ val all_non_affine : meta list -> bool
     estimate cannot discriminate between window sizes (everything resolves
     through the inspector), so sizing falls back to 1 with a W402 lint. *)
 
-val choose_size_reanalyze : Context.t -> meta list -> max:int -> int
-(** The pre-optimization preprocessing loop: re-runs the full per-chunk
-    dependence analysis for every candidate size. Kept as the oracle for
-    tests and the [bench/main.exe micro] comparison; use {!choose_size}. *)
-
 val chunk : 'a list -> int -> 'a list list
-
-val movement_estimate : Context.t -> meta list -> window:int -> int
-(** Total estimated movement when compiling the stream under a fixed
-    window size (no simulation; used by preprocessing and tests). *)

@@ -21,8 +21,8 @@ let conflict a b =
     | Some x, Some y -> if x = y then Some false else None
     | None, _ | _, None -> Some true
 
-(* The per-pair check shared by both analyses: all dependences between the
-   accesses of instance [i] and the later instance [j]. *)
+(* The per-pair check shared by every analysis path: all dependences
+   between the accesses of instance [i] and the later instance [j]. *)
 let pair_deps add (wi, ri) (wj, rj) i j =
   (match conflict wi wj with
   | Some may -> add i j Output may
@@ -34,44 +34,29 @@ let pair_deps add (wi, ri) (wj, rj) i j =
     (fun r -> match conflict r wj with Some may -> add i j Anti may | None -> ())
     ri
 
-let analyze_naive resolver instances =
-  let arr = Array.of_list instances in
-  let resolved = Array.map (accesses resolver) arr in
+(* All-pairs scan: every pair [(i, j)] with [i < j <= i + reach], in the
+   naive (i, j) order. *)
+let scan resolved ~reach =
   let deps = ref [] in
   let add src dst kind may = deps := { src; dst; kind; may } :: !deps in
-  let n = Array.length arr in
+  let n = Array.length resolved in
+  let reach = min reach n in
   for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
+    for j = i + 1 to min (n - 1) (i + reach) do
       pair_deps add resolved.(i) resolved.(j) i j
     done
   done;
   List.rev !deps
 
-let analyze resolver instances =
-  let arr = Array.of_list instances in
-  let resolved = Array.map (accesses resolver) arr in
-  let n = Array.length arr in
-  if n <= 12 then begin
-    (* Compilation windows are a handful of instances; the all-pairs scan
-       beats paying three hashtable setups, and the bucketed path below
-       reproduces its output exactly, so the dispatch is invisible. *)
-    let deps = ref [] in
-    let add src dst kind may = deps := { src; dst; kind; may } :: !deps in
-    for i = 0 to n - 1 do
-      for j = i + 1 to n - 1 do
-        pair_deps add resolved.(i) resolved.(j) i j
-      done
-    done;
-    List.rev !deps
-  end
-  else begin
-  (* A pair can only carry a dependence when some access pair shares an
-     array AND the addresses match or a side is unresolvable. So bucket
-     resolved accesses by (array, address) and unresolvable ones by array:
-     instance j partners instance i when they share an (array, address)
-     bucket, or either holds an unresolvable reference to an array the
-     other touches. Affine streams then cost O(n * chain length) instead
-     of O(n^2). *)
+(* A pair can only carry a dependence when some access pair shares an
+   array AND the addresses match or a side is unresolvable. So bucket
+   resolved accesses by (array, address) and unresolvable ones by array:
+   instance j partners instance i when they share an (array, address)
+   bucket, or either holds an unresolvable reference to an array the
+   other touches. Affine streams then cost O(n * chain length) instead
+   of O(n^2). *)
+let bucketed resolved =
+  let n = Array.length resolved in
   let by_addr : (string * int, int list) Hashtbl.t = Hashtbl.create 64 in
   let by_unresolved : (string, int list) Hashtbl.t = Hashtbl.create 16 in
   let by_array : (string, int list) Hashtbl.t = Hashtbl.create 16 in
@@ -93,8 +78,8 @@ let analyze resolver instances =
     resolved;
   (* Bucket lists are descending (consed over increasing i). [mark.(j) = i]
      stamps j as a partner of i exactly once; sorting the stamped partners
-     ascending reproduces the naive j order, so the output — order and
-     duplicates included — is identical to [analyze_naive]. *)
+     ascending reproduces the all-pairs j order, so the output — order and
+     duplicates included — is identical to [scan]'s. *)
   let mark = Array.make n (-1) in
   let deps = ref [] in
   let add src dst kind may = deps := { src; dst; kind; may } :: !deps in
@@ -131,7 +116,19 @@ let analyze resolver instances =
       (List.sort compare !js)
   done;
   List.rev !deps
-  end
+
+let analyze ?band resolver instances =
+  let resolved = Array.of_list (List.map (accesses resolver) instances) in
+  let n = Array.length resolved in
+  match band with
+  | Some band ->
+    if band < 1 then invalid_arg "Dependence.analyze: band must be positive";
+    scan resolved ~reach:(band - 1)
+  | None ->
+    (* Compilation windows are a handful of instances; the all-pairs scan
+       beats paying three hashtable setups, and the bucketed path
+       reproduces its output exactly, so the dispatch is invisible. *)
+    if n <= 12 then scan resolved ~reach:n else bucketed resolved
 
 let kind_to_string = function Flow -> "flow" | Anti -> "anti" | Output -> "output"
 

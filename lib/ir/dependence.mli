@@ -25,17 +25,21 @@ type resolver = Reference.t -> Env.t -> int option
 (** Maps a reference under an iteration environment to the address of the
     element it touches; [None] when not compile-time analyzable. *)
 
-val analyze : resolver -> instance list -> dep list
-(** All pairwise dependences with [src < dst] in list order. Accesses are
-    pre-bucketed by (array, resolved address) — unresolvable ones by array
-    name — so only pairs that can actually conflict are compared; affine
-    streams cost O(n * dependence-chain length) instead of O(n{^ 2}). The
-    result is identical to {!analyze_naive}. *)
+val analyze : ?band:int -> resolver -> instance list -> dep list
+(** All pairwise dependences with [src < dst], in list order: ascending
+    [src], then ascending [dst], then output, flow and anti dependences of
+    the pair — exactly what comparing every instance pair would emit.
 
-val analyze_naive : resolver -> instance list -> dep list
-(** Reference implementation comparing all O(n{^ 2}) instance pairs. Kept
-    as the oracle for equivalence tests and the baseline for the
-    [bench/main.exe micro] dependence benchmarks; use {!analyze}. *)
+    With [band], only pairs with [dst - src < band] are compared, by an
+    all-pairs scan over each instance's [band - 1] successors, so the cost
+    grows with n x band. A consumer that reads only pairs inside chunks of
+    at most [band] consecutive instances (a compiled window) loses
+    nothing. [band] must be positive.
+
+    Without [band], accesses are pre-bucketed by (array, resolved address)
+    — unresolvable ones by array name — so only pairs that can actually
+    conflict are compared; affine streams cost O(n * dependence-chain
+    length) instead of O(n{^ 2}). *)
 
 val kind_to_string : kind -> string
 

@@ -76,6 +76,8 @@ let rendered spans f = Ndp_obs.Span.with_span spans "render" f
 
 let error msg = reply_of ~ok:false ~cached:false ~key:"" (body (Json.Obj [ ("error", Json.Str msg) ]))
 
+let field_error e = reply_of ~ok:false ~cached:false ~key:"" (body (Service.field_error_json e))
+
 (* Resolve the spec, derive the content key from the *resolved* job (so
    spellings that mean the same job — e.g. window "adaptive" vs "" —
    share a cache line), then serve from the result cache. The cache
@@ -116,7 +118,8 @@ let compile_body t ~spans (job : Pipeline.Job.t) =
          ("captured_calls", Json.Int (List.length r.Pipeline.emitted));
        ])
 
-let sweep_body t ~spans (job : Pipeline.Job.t) (variants : Protocol.variant list) =
+(* [variants] pairs each wire variant with its resolved config patch. *)
+let sweep_body t ~spans (job : Pipeline.Job.t) variants =
   let _skey, r, _hit = captured t ~spans job in
   let base_exec = max 1 r.Pipeline.exec_time in
   let kernel = job.Pipeline.Job.kernel in
@@ -126,43 +129,32 @@ let sweep_body t ~spans (job : Pipeline.Job.t) (variants : Protocol.variant list
   Ndp_obs.Span.attr_int spans sp_replay "variants" (List.length variants);
   let rows =
     Pool.parallel_map t.pool
-      (fun (v : Protocol.variant) ->
-        match Service.variant_config job.Pipeline.Job.config v with
-        | Error msg -> Error (v.Protocol.v_name, msg)
-        | Ok config ->
-          let rp =
-            Pipeline.replay ~config ~tweaks:v.Protocol.v_tweaks kernel r.Pipeline.emitted
-          in
-          Ok
-            ( v.Protocol.v_name,
-              Json.Obj
-                [
-                  ("name", Json.Str v.Protocol.v_name);
-                  ("exec_time", Json.Int rp.Pipeline.rp_exec_time);
-                  ( "vs_base",
-                    Json.Float (float_of_int rp.Pipeline.rp_exec_time /. float_of_int base_exec)
-                  );
-                  ("hops", Json.Int (Stats.hops rp.Pipeline.rp_stats));
-                  ("load_wait", Json.Int (Stats.load_wait rp.Pipeline.rp_stats));
-                  ("energy_pj", Json.Float (Ndp_sim.Energy.total rp.Pipeline.rp_energy));
-                ] ))
+      (fun ((v : Protocol.variant), patch) ->
+        let rp =
+          Pipeline.replay ~config:(patch job.Pipeline.Job.config) ~tweaks:v.Protocol.v_tweaks
+            kernel r.Pipeline.emitted
+        in
+        Json.Obj
+          [
+            ("name", Json.Str v.Protocol.v_name);
+            ("exec_time", Json.Int rp.Pipeline.rp_exec_time);
+            ("vs_base", Json.Float (float_of_int rp.Pipeline.rp_exec_time /. float_of_int base_exec));
+            ("hops", Json.Int (Stats.hops rp.Pipeline.rp_stats));
+            ("load_wait", Json.Int (Stats.load_wait rp.Pipeline.rp_stats));
+            ("energy_pj", Json.Float (Ndp_sim.Energy.total rp.Pipeline.rp_energy));
+          ])
       variants
   in
   Ndp_obs.Span.exit spans sp_replay;
-  match List.find_opt Result.is_error rows with
-  | Some (Error (name, msg)) -> failwith (Printf.sprintf "variant %s: %s" name msg)
-  | _ ->
-    body
-      (Json.Obj
-         [
-           ("app", Json.Str r.Pipeline.kernel_name);
-           ("scheme", Json.Str r.Pipeline.scheme_name);
-           ("base_exec_time", Json.Int r.Pipeline.exec_time);
-           ("base_hops", Json.Int (Stats.hops r.Pipeline.stats));
-           ( "variants",
-             Json.List (List.filter_map (function Ok (_, j) -> Some j | Error _ -> None) rows)
-           );
-         ])
+  body
+    (Json.Obj
+       [
+         ("app", Json.Str r.Pipeline.kernel_name);
+         ("scheme", Json.Str r.Pipeline.scheme_name);
+         ("base_exec_time", Json.Int r.Pipeline.exec_time);
+         ("base_hops", Json.Int (Stats.hops r.Pipeline.stats));
+         ("variants", Json.List rows);
+       ])
 
 let variants_salt (variants : Protocol.variant list) =
   String.concat ";"
@@ -266,10 +258,23 @@ let handle t (req : Protocol.request) =
             rendered spans (fun () -> body o.Service.i_doc))
       | Protocol.Compile spec ->
         cacheable t spec ~salt:"compile" (fun job -> compile_body t ~spans job)
-      | Protocol.Sweep { spec; variants } ->
-        cacheable t spec
-          ~salt:("sweep:" ^ variants_salt variants)
-          (fun job -> sweep_body t ~spans job variants)
+      | Protocol.Sweep { spec; variants } -> (
+        (* Variants are resolved before anything compiles, so a bad
+           override is refused at the boundary, naming its field. *)
+        let patches =
+          List.fold_left
+            (fun acc v ->
+              Result.bind acc (fun ps ->
+                  Result.map (fun p -> (v, p) :: ps) (Service.variant_patch v)))
+            (Ok []) variants
+          |> Result.map List.rev
+        in
+        match patches with
+        | Error e -> field_error e
+        | Ok resolved ->
+          cacheable t spec
+            ~salt:("sweep:" ^ variants_salt variants)
+            (fun job -> sweep_body t ~spans job resolved))
       | Protocol.Batch specs -> (
         let jobs =
           List.fold_left
@@ -358,8 +363,9 @@ let log_slow t ~op (reply : reply) =
 (* One framed session: read request frames until EOF / Shutdown /
    corrupt framing, answering each with an envelope + body pair.
    Per-frame JSON or vocabulary errors are answered in-band (the framing
-   is still intact); corrupt framing poisons the byte stream, so the
-   session answers once with id 0 and closes. *)
+   is still intact), under the frame's id when its JSON carries one;
+   corrupt framing poisons the byte stream, so the session answers once
+   with id 0 and closes. *)
 let serve_channels t ic oc =
   let continue = ref true in
   while !continue do
@@ -372,27 +378,35 @@ let serve_channels t ic oc =
       flush oc;
       continue := false
     | Protocol.Frame payload -> (
-      match Result.bind (Json.parse payload) Protocol.request_of_json with
-      | Error msg ->
+      let reject ~id msg =
         Metrics.incr t.requests;
         Metrics.incr t.errors;
         Protocol.write_response oc
-          { Protocol.id = 0; ok = false; cached = false; key = "" }
+          { Protocol.id; ok = false; cached = false; key = "" }
           ~body:(body (Json.Obj [ ("error", Json.Str msg) ]));
         flush oc
-      | Ok (id, req) ->
-        let reply = handle t req in
-        Protocol.write_response oc
-          { Protocol.id = id; ok = reply.ok; cached = reply.cached; key = reply.key }
-          ~body:reply.body;
-        flush oc;
-        let op = Protocol.op_name req in
-        log_access t ~id ~op reply;
-        log_slow t ~op reply;
-        if req = Protocol.Shutdown then begin
-          t.stop <- true;
-          continue := false
-        end)
+      in
+      match Json.parse payload with
+      | Error msg -> reject ~id:0 msg
+      | Ok doc -> (
+        match Protocol.request_of_json doc with
+        | Error msg ->
+          (* The frame parsed: answer under its id when it carries one. *)
+          let id = match Json.member "id" doc with Some (Json.Int id) -> id | _ -> 0 in
+          reject ~id msg
+        | Ok (id, req) ->
+          let reply = handle t req in
+          Protocol.write_response oc
+            { Protocol.id = id; ok = reply.ok; cached = reply.cached; key = reply.key }
+            ~body:reply.body;
+          flush oc;
+          let op = Protocol.op_name req in
+          log_access t ~id ~op reply;
+          log_slow t ~op reply;
+          if req = Protocol.Shutdown then begin
+            t.stop <- true;
+            continue := false
+          end))
   done
 
 let serve t ~socket_path =

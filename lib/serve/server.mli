@@ -64,14 +64,18 @@ val schedule_cache : t -> Ndp_core.Pipeline.result Cache.t
 val handle : t -> Protocol.request -> reply
 (** In-process dispatch — the tests and the bench exercise exactly the
     path the socket loop uses. Never raises: failures come back as
-    [{ok = false}] with an [{"error": ..}] body. *)
+    [{ok = false}] with an [{"error": ..}] body; a refused request value
+    (a sweep override out of range, say) also names it under ["field"]. *)
 
 val serve_channels : t -> in_channel -> out_channel -> unit
 (** One framed session over arbitrary channels (the [--stdio] mode and
     the per-connection loop). Returns on EOF, corrupt framing, or after
     answering [Shutdown] (which also marks the server stopped). After
     each well-formed request it writes the access-log line and, past the
-    [slow_ms] threshold, the slow-log breakdown. *)
+    [slow_ms] threshold, the slow-log breakdown. A frame whose JSON parses
+    but does not decode to a request is answered with an error under the
+    frame's ["id"] when it carries an integer one (id 0 otherwise, and
+    always for corrupt framing). *)
 
 val serve : t -> socket_path:string -> unit
 (** Bind a Unix-domain socket (unlinking any stale file), then accept and

@@ -61,29 +61,53 @@ let job_of_spec (s : Protocol.job_spec) =
       (Pipeline.Job.make ~config ~tweaks:s.Protocol.tweaks ?faults ~repair:s.Protocol.repair
          scheme kernel)
 
-(* Simulation-side integer knobs a sweep variant may override. The
-   address-shape parameters (mesh, line/page size) are deliberately
-   absent: replay requires them to match the capture config. *)
-let apply_override (c : Config.t) (field, v) =
-  match field with
-  | "hop_cycles" -> Ok { c with Config.hop_cycles = v }
-  | "link_service_cycles" -> Ok { c with Config.link_service_cycles = v }
-  | "l1_hit_cycles" -> Ok { c with Config.l1_hit_cycles = v }
-  | "l2_hit_cycles" -> Ok { c with Config.l2_hit_cycles = v }
-  | "mcdram_cycles" -> Ok { c with Config.mcdram_cycles = v }
-  | "ddr_cycles" -> Ok { c with Config.ddr_cycles = v }
-  | "op_cycles" -> Ok { c with Config.op_cycles = v }
-  | "sync_cycles" -> Ok { c with Config.sync_cycles = v }
-  | "load_issue_cycles" -> Ok { c with Config.load_issue_cycles = v }
-  | "outstanding_loads" -> Ok { c with Config.outstanding_loads = v }
-  | other -> Error (Printf.sprintf "variant cannot override config field %S" other)
+type field_error = { field : string; reason : string }
 
-let variant_config base (v : Protocol.variant) =
+let field_error_json e =
+  Render.Json.Obj
+    [
+      ("error", Render.Json.Str (Printf.sprintf "field %s: %s" e.field e.reason));
+      ("field", Render.Json.Str e.field);
+    ]
+
+(* Simulation-side integer knobs a sweep variant may override, each with
+   the least value the models accept: a cycle count may be zero, but the
+   window sizer's sync cost divides by [hop_cycles] and the engine
+   divides load latency by [outstanding_loads], so those two must be
+   positive. The address-shape parameters (mesh, line/page size) are
+   deliberately absent: replay requires them to match the capture
+   config. *)
+let overridable : (string * int * (Config.t -> int -> Config.t)) list =
+  [
+    ("hop_cycles", 1, fun c v -> { c with Config.hop_cycles = v });
+    ("link_service_cycles", 0, fun c v -> { c with Config.link_service_cycles = v });
+    ("l1_hit_cycles", 0, fun c v -> { c with Config.l1_hit_cycles = v });
+    ("l2_hit_cycles", 0, fun c v -> { c with Config.l2_hit_cycles = v });
+    ("mcdram_cycles", 0, fun c v -> { c with Config.mcdram_cycles = v });
+    ("ddr_cycles", 0, fun c v -> { c with Config.ddr_cycles = v });
+    ("op_cycles", 0, fun c v -> { c with Config.op_cycles = v });
+    ("sync_cycles", 0, fun c v -> { c with Config.sync_cycles = v });
+    ("load_issue_cycles", 0, fun c v -> { c with Config.load_issue_cycles = v });
+    ("outstanding_loads", 1, fun c v -> { c with Config.outstanding_loads = v });
+  ]
+
+let variant_patch (v : Protocol.variant) =
   List.fold_left
-    (fun acc kv ->
-      let* c = acc in
-      apply_override c kv)
-    (Ok base) v.Protocol.v_overrides
+    (fun acc (field, value) ->
+      let* patch = acc in
+      match List.find_opt (fun (name, _, _) -> name = field) overridable with
+      | None ->
+        Error { field; reason = Printf.sprintf "variant %S cannot override it" v.Protocol.v_name }
+      | Some (_, least, _) when value < least ->
+        Error
+          {
+            field;
+            reason =
+              Printf.sprintf "variant %S sets %d, below the least valid value %d"
+                v.Protocol.v_name value least;
+          }
+      | Some (_, _, set) -> Ok (fun c -> set (patch c) value))
+    (Ok Fun.id) v.Protocol.v_overrides
 
 (* ------------------------------------------------------------------ *)
 (* Result rendering (shared by CLI and daemon)                         *)

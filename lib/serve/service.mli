@@ -21,12 +21,21 @@ val job_of_spec : Protocol.job_spec -> (Ndp_core.Pipeline.Job.t, string) result
     or the config's seed). A spec with no fault text and no seed yields
     [faults = None]. *)
 
-val variant_config :
-  Ndp_sim.Config.t -> Protocol.variant -> (Ndp_sim.Config.t, string) result
-(** Apply a sweep variant's integer overrides. Only simulation-side knobs
-    (hop/service/hit/miss/op/sync/load-issue cycles, outstanding loads)
-    may be overridden — address-shape parameters must match the capture
-    config for replay to be meaningful. *)
+type field_error = { field : string; reason : string }
+(** A request value the daemon refuses, naming the offending field. *)
+
+val field_error_json : field_error -> Ndp_obs.Render.Json.t
+(** The error body: [{"error": "field F: REASON", "field": F}]. *)
+
+val variant_patch :
+  Protocol.variant -> (Ndp_sim.Config.t -> Ndp_sim.Config.t, field_error) result
+(** Resolve a sweep variant's integer overrides into a config patch. Only
+    simulation-side knobs (hop/service/hit/miss/op/sync/load-issue cycles,
+    outstanding loads) may be overridden — address-shape parameters must
+    match the capture config for replay to be meaningful. Cycle counts
+    must be non-negative, and [hop_cycles] and [outstanding_loads]
+    positive; an unknown field or an out-of-range value is an error
+    naming the field. *)
 
 (** {1 Shared renderers} *)
 

@@ -220,7 +220,7 @@ let window_compile_basics () =
 let window_choose_size_bounds () =
   let ctx, _ = fixture figure9_placements in
   let metas = List.init 40 (fun i -> meta_of ctx figure9_stmt i (i mod 36)) in
-  let w = Window.choose_size ctx metas ~max:8 in
+  let w = Window.choose_size_analytic ctx metas ~max:8 in
   Alcotest.(check bool) "within 1..8" true (w >= 1 && w <= 8)
 
 let window_movement_estimate_reuse () =
@@ -232,14 +232,15 @@ let window_movement_estimate_reuse () =
       (List.init 10 (fun i ->
            [ meta_of ctx figure9_stmt (2 * i) 7; meta_of ctx s2 ((2 * i) + 1) 20 ]))
   in
-  let m1 = Window.movement_estimate ctx metas ~window:1 in
-  let m2 = Window.movement_estimate ctx metas ~window:2 in
+  let m1 = Oracles.movement_estimate ctx metas ~window:1 in
+  let m2 = Oracles.movement_estimate ctx metas ~window:2 in
   Alcotest.(check bool) "window of 2 moves no more data" true (m2 <= m1)
 
 let window_analytic_matches_sampled () =
-  (* The closed-form window model must agree with the sampled oracle on
-     every nest of the whole suite — the property that lets the analytic
-     path replace sampled compilation. *)
+  (* The sizer must agree with the sampled oracle — every candidate
+     window compiled from scratch — on every nest of the whole suite: the
+     property that lets the closed-form model replace sampled
+     compilation. *)
   List.iter
     (fun name ->
       let kernel = Ndp_workloads.Suite.find name in
@@ -250,7 +251,7 @@ let window_analytic_matches_sampled () =
             let sampled_ctx = Pipeline.static_context scheme kernel in
             let analytic_ctx = Pipeline.static_context scheme kernel in
             let metas, g' = Pipeline.nest_stream sampled_ctx nest ~first_group:g in
-            let ws = Window.choose_size sampled_ctx metas ~max:8 in
+            let ws = Oracles.choose_size_reanalyze sampled_ctx metas ~max:8 in
             let wa = Window.choose_size_analytic analytic_ctx metas ~max:8 in
             Alcotest.(check int)
               (Printf.sprintf "%s/%s analytic = sampled" name nest.Ndp_ir.Loop.nest_name)
@@ -263,13 +264,12 @@ let window_analytic_matches_sampled () =
 
 let window_non_affine_short_circuit () =
   (* A nest whose every reference is indirect gives the static model
-     nothing to work with: both sizers fall back to w=1. *)
+     nothing to work with: the sizer falls back to w=1. *)
   let ctx, _ = fixture [ ("x", 3); ("y", 4); ("w", 5) ] in
   let stmt = Ndp_ir.Parser.statement "x[y[i]] = w[y[i]]" in
   let metas = List.init 16 (fun i -> meta_of ctx stmt i (i mod 36)) in
   Alcotest.(check bool) "all non-affine" true (Window.all_non_affine metas);
-  Alcotest.(check int) "sampled short-circuits" 1 (Window.choose_size ctx metas ~max:8);
-  Alcotest.(check int) "analytic short-circuits" 1 (Window.choose_size_analytic ctx metas ~max:8)
+  Alcotest.(check int) "sizer short-circuits" 1 (Window.choose_size_analytic ctx metas ~max:8)
 
 let baseline_assignment () =
   let arrays = Ndp_ir.Array_decl.layout [ ("a", 4096, 8); ("b", 4096, 8) ] in

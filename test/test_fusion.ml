@@ -132,6 +132,37 @@ let decisions_reconcile () =
         o.Ndp_serve.Service.f_fused.Pipeline.fusion_decisions)
     dnn_targets
 
+(* The pipeline bands each nest's dependence analysis to its window,
+   except under fusion: an intermediate read again beyond the window has
+   two live readers, and only the full analysis sees the far one. Here
+   t1[i+1] is read by the next statement of its own iteration and again
+   by the last statement of the next iteration (five instances later), so
+   with windows of one iteration its store must never be elided. *)
+let far_reader_blocks_fusion () =
+  let trips = 64 in
+  let kernel =
+    Ndp_workloads.Spec.kernel ~name:"far-reader" ~description:"intermediate read past the window"
+      ~arrays:(List.map (fun a -> (a, trips + 8, 8)) [ "x"; "w"; "t1"; "t2"; "y" ])
+      ~nests:
+        [
+          Ndp_workloads.Spec.nest "chain"
+            [ ("i", 0, trips) ]
+            [ "t1[i+1] = x[i] * w[i]"; "t2[i] = t1[i+1] * w[i]"; "y[i] = t2[i] + t1[i]" ];
+        ]
+      ()
+  in
+  let scheme =
+    Pipeline.Partitioned
+      { Pipeline.partitioned_defaults with Pipeline.fuse = true; window = Pipeline.Fixed 3 }
+  in
+  let r = Pipeline.Job.run (Pipeline.Job.make scheme kernel) in
+  Alcotest.(check bool) "the single-reader link still fuses" true (r.Pipeline.fusion_decisions <> []);
+  List.iter
+    (fun (d : Ndp_core.Fusion.decision) ->
+      if List.mem "t1" d.Ndp_core.Fusion.d_arrays then
+        Alcotest.failf "t1 has a reader past the window, yet its store was elided")
+    r.Pipeline.fusion_decisions
+
 let tests =
   [
     ( "fusion",
@@ -145,5 +176,7 @@ let tests =
         Alcotest.test_case "fused schedules race-free" `Slow fused_race_free;
         Alcotest.test_case "fusion decisions reconcile with the ledger" `Slow
           decisions_reconcile;
+        Alcotest.test_case "a reader past the window blocks fusion" `Quick
+          far_reader_blocks_fusion;
       ] );
   ]

@@ -160,9 +160,9 @@ let replay_cost_model_shifts () =
 
 let batch_jobs () =
   [
-    P.batch_job P.Default (water ());
-    P.batch_job (P.Partitioned P.partitioned_defaults) (water ());
-    P.batch_job (P.Partitioned { P.partitioned_defaults with P.window = P.Fixed 2 }) (fft ());
+    P.Job.make P.Default (water ());
+    P.Job.make (P.Partitioned P.partitioned_defaults) (water ());
+    P.Job.make (P.Partitioned { P.partitioned_defaults with P.window = P.Fixed 2 }) (fft ());
   ]
 
 let check_same_result label (a : P.result) (b : P.result) =
@@ -179,7 +179,7 @@ let check_same_result label (a : P.result) (b : P.result) =
 let batch_matches_solo_and_parallel () =
   let solo =
     List.map
-      (fun (j : P.batch_job) -> P.Job.run j)
+      (fun (j : P.Job.t) -> P.Job.run j)
       (batch_jobs ())
   in
   let serial = P.run_batch (batch_jobs ()) in

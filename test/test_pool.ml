@@ -98,8 +98,8 @@ let suite_determinism () =
             (label "windows") s.P.windows_chosen p.P.windows_chosen)
         par ser)
 
-(* The sliced window-size preprocessing must agree with the
-   reanalyze-per-candidate oracle it replaced. *)
+(* The window sizer must agree with the reanalyze-per-candidate oracle,
+   serially and with its tie-break re-scoring fanned over a pool. *)
 let choose_size_matches_oracle () =
   let module W = Ndp_core.Window in
   List.iter
@@ -135,14 +135,15 @@ let choose_size_matches_oracle () =
                      nest.Ndp_ir.Loop.body)
                  (Ndp_ir.Loop.iterations nest))
           in
-          let oracle = W.choose_size_reanalyze ctx metas ~max:8 in
-          let sliced = W.choose_size ctx metas ~max:8 in
-          Alcotest.(check int) (name ^ ": sliced matches oracle") oracle sliced;
-          Pool.with_pool ~jobs:3 (fun pool ->
-              Alcotest.(check int)
-                (name ^ ": pooled matches oracle")
-                oracle
-                (W.choose_size ~pool ctx metas ~max:8)))
+          let oracle = Oracles.choose_size_reanalyze ctx metas ~max:8 in
+          List.iter
+            (fun jobs ->
+              Pool.with_pool ~jobs (fun pool ->
+                  Alcotest.(check int)
+                    (Printf.sprintf "%s: sizer matches oracle at --jobs %d" name jobs)
+                    oracle
+                    (W.choose_size_analytic ~pool ctx metas ~max:8)))
+            [ 1; 4 ])
         kernel.Ndp_core.Kernel.program.Ndp_ir.Loop.nests)
     [ "water"; "cholesky" ]
 

@@ -7,7 +7,8 @@
    - parser round-trip: printing any precedence-respecting statement tree
      and reparsing it yields the same tree;
    - the bucketed [Dependence.analyze] equals the O(n^2) naive oracle on
-     random instance streams (including indirect may-dependences);
+     random instance streams (including indirect may-dependences), and the
+     banded analysis equals the oracle filtered to the band;
    - every schedule the partitioned pipeline emits for a random in-bounds
      kernel passes the [Ndp_analysis.Validate] race detector;
    - linking [ndp_fault] but injecting an empty plan leaves a run
@@ -223,12 +224,40 @@ let analyze_equals_oracle () =
     (fun case ->
       let stream = dep_stream case in
       let fast = List.map dep_to_tuple (Dep.analyze dep_resolver stream) in
-      let naive = List.map dep_to_tuple (Dep.analyze_naive dep_resolver stream) in
+      let naive = List.map dep_to_tuple (Oracles.analyze_naive dep_resolver stream) in
       if fast = naive then Ok ()
       else
         Error
           (Printf.sprintf "bucketed analyze found %d deps, naive oracle %d (or different order)"
              (List.length fast) (List.length naive)))
+
+(* [analyze ~band] must be exactly the naive oracle's pairs closer than
+   [band], order and duplicates included — for the degenerate bands 1
+   (nothing) and 2 (neighbours), a random band, and bands reaching past
+   the stream's end (everything). *)
+let banded_analyze_equals_filtered_oracle () =
+  forall ~count:80 ~name:"analyze ~band = naive oracle filtered to the band"
+    {
+      gen = (fun rng -> (gen_dep_case rng, 1 + Rng.int rng 12));
+      shrink = (fun (case, band) -> List.map (fun c -> (c, band)) (shrink_dep_case case));
+      print = (fun (case, band) -> Printf.sprintf "%s, random band %d" (print_dep_case case) band);
+    }
+    (fun (case, rand_band) ->
+      let stream = dep_stream case in
+      let n = List.length stream in
+      let naive = List.map dep_to_tuple (Oracles.analyze_naive dep_resolver stream) in
+      let check band =
+        let banded = List.map dep_to_tuple (Dep.analyze ~band dep_resolver stream) in
+        let expected = List.filter (fun (src, dst, _, _) -> dst - src < band) naive in
+        if banded = expected then None
+        else
+          Some
+            (Printf.sprintf "band %d: analyze found %d deps, filtered oracle %d (or different order)"
+               band (List.length banded) (List.length expected))
+      in
+      match List.find_map check [ 1; 2; rand_band; n; n + 1; max_int ] with
+      | None -> Ok ()
+      | Some msg -> Error msg)
 
 (* -------------------------------------------------------------------- *)
 (* Random kernels vs. the schedule race detector.                        *)
@@ -323,8 +352,8 @@ let empty_plan_is_identity () =
    an empty chunk slice), and every subscript strides a full cache line
    (8 words at 8-byte elements), so the reuse map never hits and both
    paths price every instance with the same margin rule. On this class
-   [Window.movement_estimate] must equal the analytic total exactly, for
-   every window size. *)
+   the sampled [Oracles.movement_estimate] must equal the analytic total
+   exactly, for every window size. *)
 type analytic_case = { a_trip : int; a_stmts : int * int list (* inputs per stmt *) }
 
 let gen_analytic_case rng =
@@ -363,7 +392,7 @@ let analytic_equals_sampled_estimate () =
           let sampled_ctx = Pipeline.static_context scheme kernel in
           let analytic_ctx = Pipeline.static_context scheme kernel in
           let metas, _ = Pipeline.nest_stream sampled_ctx nest ~first_group:0 in
-          let sampled = Ndp_core.Window.movement_estimate sampled_ctx metas ~window:w in
+          let sampled = Oracles.movement_estimate sampled_ctx metas ~window:w in
           let a = Ndp_core.Window.analytic_of analytic_ctx metas ~window:w in
           let analytic =
             Array.fold_left ( + ) 0 a.Ndp_core.Window.a_est
@@ -376,6 +405,28 @@ let analytic_equals_sampled_estimate () =
         end
       in
       check_w 1)
+
+(* [Adaptive] and [Analytic] name one sizer: on every kernel of the suite
+   they must pick the same windows and so produce the same run. *)
+let adaptive_is_analytic_suite () =
+  List.iter
+    (fun name ->
+      let kernel = Ndp_workloads.Suite.find name in
+      let run window =
+        Pipeline.Job.run
+          (Pipeline.Job.make
+             (Pipeline.Partitioned { Pipeline.partitioned_defaults with Pipeline.window })
+             kernel)
+      in
+      let a = run Pipeline.Adaptive and b = run Pipeline.Analytic in
+      Alcotest.(check (list (pair string int)))
+        (name ^ " windows") a.Pipeline.windows_chosen b.Pipeline.windows_chosen;
+      Alcotest.(check int) (name ^ " exec_time") a.Pipeline.exec_time b.Pipeline.exec_time;
+      Alcotest.(check (list (pair string int)))
+        (name ^ " stats")
+        (Ndp_sim.Stats.to_alist a.Pipeline.stats)
+        (Ndp_sim.Stats.to_alist b.Pipeline.stats))
+    Ndp_workloads.Suite.names
 
 (* -------------------------------------------------------------------- *)
 (* Static cost table vs. the measured ledger, whole suite.               *)
@@ -783,5 +834,8 @@ let tests =
           capacity_zero_is_identity;
         Alcotest.test_case "shrinker reaches a minimal counterexample" `Quick shrinker_minimizes;
         Alcotest.test_case "serve request wire round-trip" `Quick request_round_trip;
+        Alcotest.test_case "banded analyze = filtered naive oracle" `Quick
+          banded_analyze_equals_filtered_oracle;
+        Alcotest.test_case "adaptive = analytic runs (suite)" `Slow adaptive_is_analytic_suite;
       ] );
   ]

@@ -9,6 +9,7 @@ module Server = Ndp_serve.Server
 module Pipeline = Ndp_core.Pipeline
 module Config = Ndp_sim.Config
 module Plan = Ndp_fault.Plan
+module RJ = Ndp_obs.Render.Json
 
 let fft () = Ndp_workloads.Suite.find "fft"
 let water () = Ndp_workloads.Suite.find "water"
@@ -354,10 +355,89 @@ let errors_reported_in_band () =
       let is_sub = Astring.String.is_infix ~affix:"error" r.Server.body in
       Alcotest.(check bool) "body carries an error document" true is_sub)
 
+(* A sweep override the simulator cannot run is refused before anything
+   compiles, with a structured error naming the field — never raw
+   exception text from deep in the simulator. *)
+let sweep_overrides_validated () =
+  let server = Server.create () in
+  Fun.protect
+    ~finally:(fun () -> Server.shutdown server)
+    (fun () ->
+      let sweep overrides =
+        Server.handle server
+          (Protocol.Sweep
+             {
+               spec = Protocol.default_spec ~app:"fft";
+               variants =
+                 [ { Protocol.v_name = "v"; v_overrides = overrides; v_tweaks = Pipeline.no_tweaks } ];
+             })
+      in
+      List.iter
+        (fun (field, value) ->
+          let r = sweep [ ("op_cycles", 4); (field, value) ] in
+          let ctx = Printf.sprintf "%s=%d" field value in
+          Alcotest.(check bool) (ctx ^ " refused") false r.Server.ok;
+          (match RJ.parse r.Server.body with
+          | Ok doc ->
+            Alcotest.(check bool) (ctx ^ " names the field") true
+              (RJ.member "field" doc = Some (RJ.Str field))
+          | Error m -> Alcotest.failf "%s: error body unparseable: %s" ctx m);
+          List.iter
+            (fun affix ->
+              if Astring.String.is_infix ~affix r.Server.body then
+                Alcotest.failf "%s: raw exception text %S in %s" ctx affix r.Server.body)
+            [ "Invalid_argument"; "Failure"; "Not_found"; "Division_by_zero" ])
+        [
+          ("hop_cycles", -5);
+          ("hop_cycles", 0);
+          ("outstanding_loads", 0);
+          ("ddr_cycles", -1);
+          ("mesh_cols", 8);
+        ];
+      Alcotest.(check int) "refused sweeps compiled nothing" 0
+        (Cache.stats (Server.schedule_cache server)).Cache.misses;
+      let ok = sweep [ ("hop_cycles", 1); ("sync_cycles", 0); ("outstanding_loads", 1) ] in
+      Alcotest.(check bool) "boundary values accepted" true ok.Server.ok)
+
+(* A frame whose JSON parses but is not a request is answered under its
+   own id; only unparseable JSON and corrupt framing fall back to id 0. *)
+let error_envelopes_echo_id () =
+  let path = Filename.temp_file "ndp_serve_ids" ".bin" in
+  let rsp_path = Filename.temp_file "ndp_serve_ids_rsp" ".bin" in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ path; rsp_path ])
+    (fun () ->
+      let oc = open_out_bin path in
+      Protocol.write_frame oc {|{"id": 42, "op": "no-such-op"}|};
+      Protocol.write_frame oc {|{"id": 43, "op": "run", "spec": {"app": 7}}|};
+      Protocol.write_frame oc {|{"id": "x", "op": "ping"}|};
+      Protocol.write_frame oc "{not json";
+      Protocol.write_request oc ~id:44 Protocol.Ping;
+      output_string oc "garbage\n";
+      close_out oc;
+      let server = Server.create () in
+      let ic = open_in_bin path in
+      let rsp_oc = open_out_bin rsp_path in
+      Server.serve_channels server ic rsp_oc;
+      close_in ic;
+      close_out rsp_oc;
+      Server.shutdown server;
+      let ic = open_in_bin rsp_path in
+      let rec envelopes acc =
+        match Protocol.read_response ic with
+        | Ok (env, _) -> envelopes ((env.Protocol.id, env.Protocol.ok) :: acc)
+        | Error _ -> List.rev acc
+      in
+      let got = envelopes [] in
+      close_in ic;
+      Alcotest.(check (list (pair int bool)))
+        "envelope ids"
+        [ (42, false); (43, false); (0, false); (0, false); (44, true); (0, false) ]
+        got)
+
 (* -------------------------------------------------------------------- *)
 (* Telemetry: request tracing, per-op latency, exposition, access log.   *)
 
-module RJ = Ndp_obs.Render.Json
 module Metrics = Ndp_obs.Metrics
 module Span = Ndp_obs.Span
 
@@ -550,5 +630,7 @@ let tests =
         Alcotest.test_case "cache-stats latency section" `Quick cache_stats_latency_section;
         Alcotest.test_case "access log JSONL" `Quick access_log_jsonl;
         Alcotest.test_case "op names cover requests" `Quick op_names_cover_requests;
+        Alcotest.test_case "sweep overrides validated" `Quick sweep_overrides_validated;
+        Alcotest.test_case "error envelopes echo the frame id" `Quick error_envelopes_echo_id;
       ] );
   ]
