@@ -1,5 +1,5 @@
-(* Command-line driver: compile one of the twelve application kernels under
-   a placement scheme and simulate it on the KNL-like mesh.
+(* Command-line driver: compile one of the suite's application kernels
+   under a placement scheme and simulate it on the KNL-like mesh.
 
      ndp_run list
      ndp_run run barnes --scheme partitioned --cluster quadrant --memory flat
@@ -10,7 +10,11 @@
 
    Every subcommand is an entry in the declarative [commands] table below:
    name, one-line summary, and a term built from the shared flag specs in
-   [Args]. Help output is generated from the table. *)
+   [Args]. Help output is generated from the table.
+
+   A subcommand that runs a job turns its flags into a [Protocol.job_spec]
+   ([Args.spec]) and resolves it with [Service.job_of_spec] ([with_job]) —
+   the same table the serve daemon resolves wire requests with. *)
 
 open Cmdliner
 module Render = Ndp_obs.Render
@@ -34,18 +38,14 @@ module Args = struct
     in
     Arg.conv (parse, fun ppf k -> Format.pp_print_string ppf k.Ndp_core.Kernel.name)
 
-  let cluster_conv =
-    let parse s = Result.map_error (fun m -> `Msg m) (Ndp_noc.Cluster.of_string s) in
-    Arg.conv (parse, fun ppf c -> Format.pp_print_string ppf (Ndp_noc.Cluster.to_string c))
-
-  let memory_conv =
-    let parse s = Result.map_error (fun m -> `Msg m) (Ndp_sim.Config.memory_mode_of_string s) in
-    Arg.conv
-      (parse, fun ppf m -> Format.pp_print_string ppf (Ndp_sim.Config.memory_mode_to_string m))
-
   let kernel =
     Arg.(
       required & pos 0 (some kernel_conv) None & info [] ~docv:"APP" ~doc:"Application kernel name.")
+
+  (* The job-building subcommands take the name as-is: [Service.job_of_spec]
+     resolves it, with every other field of the spec. *)
+  let app =
+    Arg.(required & pos 0 (some string) None & info [] ~docv:"APP" ~doc:"Application kernel name.")
 
   let kernel_opt =
     Arg.(
@@ -56,38 +56,21 @@ module Args = struct
   let cluster =
     Arg.(
       value
-      & opt cluster_conv Ndp_noc.Cluster.Quadrant
+      & opt string "quadrant"
       & info [ "cluster" ] ~doc:"Cluster mode: all-to-all, quadrant or snc-4.")
 
   let memory =
-    Arg.(
-      value
-      & opt memory_conv Ndp_sim.Config.Flat
-      & info [ "memory" ] ~doc:"Memory mode: flat, cache or hybrid.")
-
-  let window_conv =
-    let parse s =
-      if String.lowercase_ascii s = "analytic" then Ok `Analytic
-      else
-        match int_of_string_opt s with
-        | Some k -> Ok (`Fixed k)
-        | None -> Error (`Msg (Printf.sprintf "expected a window size or \"analytic\", got %S" s))
-    in
-    Arg.conv
-      ( parse,
-        fun ppf -> function
-          | `Analytic -> Format.pp_print_string ppf "analytic"
-          | `Fixed k -> Format.pp_print_int ppf k )
+    Arg.(value & opt string "flat" & info [ "memory" ] ~doc:"Memory mode: flat, cache or hybrid.")
 
   let window =
     Arg.(
       value
-      & opt (some window_conv) None
+      & opt string "adaptive"
       & info [ "window" ]
           ~doc:
-            "Window size: a fixed integer, or $(b,analytic) — an alias of the default, which \
-             sizes each nest with the closed-form static cost model, kept for its scheme name \
-             $(b,partitioned\\(analytic\\)).")
+            "Window size: a fixed integer of at least 1, $(b,adaptive) — each nest sized with \
+             the closed-form static cost model — or $(b,analytic), an alias of $(b,adaptive) \
+             kept for its scheme name $(b,partitioned\\(analytic\\)).")
 
   let threshold =
     Arg.(
@@ -104,7 +87,7 @@ module Args = struct
   let scheme =
     Arg.(
       value
-      & opt (enum [ ("default", `Default); ("partitioned", `Partitioned) ]) `Partitioned
+      & opt (enum [ ("default", "default"); ("partitioned", "partitioned") ]) "partitioned"
       & info [ "scheme" ] ~doc:"Computation placement: default or partitioned.")
 
   (* The one output-format vocabulary, shared by check/stats/trace/run. *)
@@ -239,34 +222,52 @@ module Args = struct
             "$(b,analyze) only: report the fusion decision table instead of the static cost \
              table — each fused chain with its predicted saved flit-hops reconciled against the \
              measured delta between an unfused and a fused run.")
+
+  (* The flags of a job, as the wire spec the daemon would receive.
+     Subcommands differ only in which of these flags they offer; one they
+     lack keeps its wire default. *)
+  let spec ?(scheme = scheme) ?(fuse = Term.const false) ?(faults = Term.const "")
+      ?(fault_seed = Term.const None) ?(repair = Term.const false) app_arg =
+    let make app cluster memory scheme window fuse faults fault_seed repair =
+      {
+        Protocol.app;
+        scheme = (if fuse && scheme = "partitioned" then "partitioned+fuse" else scheme);
+        window;
+        cluster;
+        memory;
+        tweaks = Pipeline.no_tweaks;
+        faults;
+        fault_seed;
+        repair;
+      }
+    in
+    Term.(
+      const make $ app_arg $ cluster $ memory $ scheme $ window $ fuse $ faults $ fault_seed
+      $ repair)
 end
 
 (* ------------------------------------------------------------------ *)
 (* Shared helpers                                                      *)
 
-let config_of cluster memory = Ndp_sim.Config.with_modes Ndp_sim.Config.default cluster memory
+(* A spec field [Service] refused, as a usage error (exit 124) on the
+   argument that carried it. *)
+let resolved f = function
+  | Ok x -> f x
+  | Error { Service.field = "app"; reason } ->
+    `Error (true, Printf.sprintf "APP argument: %s (try `ndp_run list')" reason)
+  | Error { Service.field; reason } ->
+    `Error (true, Printf.sprintf "option '--%s': %s" field reason)
 
-let scheme_of ?(fuse = false) ?fuse_capacity scheme window =
-  match scheme with
-  | `Default -> Pipeline.Default
-  | `Partitioned ->
-    let w =
-      match window with
-      | None -> Pipeline.Adaptive
-      | Some `Analytic -> Pipeline.Analytic
-      | Some (`Fixed k) -> Pipeline.Fixed k
-    in
-    Pipeline.Partitioned
-      { Pipeline.partitioned_defaults with Pipeline.window = w; fuse; fuse_capacity }
-
-(* The document builders and human renderers live in [Ndp_serve.Service]
-   now, shared with the daemon: a serve response body is byte-identical
-   to the corresponding subcommand's [--format json] output. *)
-let result_human = Service.result_human
-
-let result_json = Service.result_json
-
-let metrics_json reg = Service.metrics_json reg
+(* The one way the CLI builds a job: [Service.job_of_spec], the daemon's
+   own table. --fuse-capacity has no wire spelling, so it is applied
+   here, to the resolved partitioned scheme. *)
+let with_job ?fuse_capacity spec f =
+  Service.job_of_spec spec
+  |> resolved @@ fun (job : Pipeline.Job.t) ->
+     match (fuse_capacity, job.Pipeline.Job.scheme) with
+     | Some _, Pipeline.Partitioned o ->
+       f { job with Pipeline.Job.scheme = Pipeline.Partitioned { o with Pipeline.fuse_capacity } }
+     | _ -> f job
 
 (* ------------------------------------------------------------------ *)
 (* run / compare                                                       *)
@@ -278,24 +279,19 @@ let with_jobs jobs f =
   | None -> f None
   | Some j -> Ndp_prelude.Pool.with_pool ~jobs:(max 1 j) (fun p -> f (Some p))
 
-let run_act kernel cluster memory scheme window fuse fuse_capacity metrics format jobs =
+let run_act spec fuse_capacity metrics format jobs =
+  with_job ?fuse_capacity spec @@ fun job ->
   with_jobs jobs @@ fun pool ->
-  let job =
-    Pipeline.Job.make ~config:(config_of cluster memory)
-      (scheme_of ~fuse ?fuse_capacity scheme window)
-      kernel
-  in
   let o = Service.run ?pool ~metrics job in
-  print_endline (Render.output format ~human:o.Service.human o.Service.doc)
+  print_endline (Render.output format ~human:o.Service.human o.Service.doc);
+  `Ok ()
 
-let compare_act kernel cluster memory window fuse metrics format jobs =
+let compare_act spec metrics format jobs =
+  with_job { spec with Protocol.scheme = "default" } @@ fun default_job ->
+  with_job spec @@ fun job ->
   with_jobs jobs @@ fun pool ->
-  let config = config_of cluster memory in
-  let od = Service.run ?pool ~metrics (Pipeline.Job.make ~config Pipeline.Default kernel) in
-  let oo =
-    Service.run ?pool ~metrics
-      (Pipeline.Job.make ~config (scheme_of ~fuse `Partitioned window) kernel)
-  in
+  let od = Service.run ?pool ~metrics default_job in
+  let oo = Service.run ?pool ~metrics job in
   let d = od.Service.result and o = oo.Service.result in
   let imp base opt = 100.0 *. float_of_int (base - opt) /. float_of_int (max 1 base) in
   let exec_imp = imp d.Pipeline.exec_time o.Pipeline.exec_time in
@@ -321,7 +317,8 @@ let compare_act kernel cluster memory window fuse metrics format jobs =
         Printf.sprintf "improvement: exec %.1f%%, movement %.1f%%" exec_imp move_imp;
       ]
   in
-  print_endline (Render.output format ~human doc)
+  print_endline (Render.output format ~human doc);
+  `Ok ()
 
 (* ------------------------------------------------------------------ *)
 (* stats: per-node / per-link breakdown                                *)
@@ -364,23 +361,20 @@ let link_table reg =
     (Metrics.to_alist reg);
   Ndp_prelude.Table.render t
 
-let stats_act kernel cluster memory scheme window fuse format jobs =
+let stats_act spec format jobs =
+  with_job spec @@ fun job ->
   with_jobs jobs @@ fun pool ->
   let obs = Ndp_obs.Sink.create ~metrics:true ~trace:false () in
-  let config = config_of cluster memory in
-  let r =
-    Pipeline.Job.run ?pool ~obs
-      (Pipeline.Job.make ~config (scheme_of ~fuse scheme window) kernel)
-  in
+  let r = Pipeline.Job.run ?pool ~obs job in
   let reg = obs.Ndp_obs.Sink.metrics in
-  let n = Ndp_noc.Mesh.size (Ndp_sim.Config.mesh config) in
+  let n = Ndp_noc.Mesh.size (Ndp_sim.Config.mesh job.Pipeline.Job.config) in
   let doc =
-    Render.Json.Obj [ ("result", result_json r); ("metrics", metrics_json reg) ]
+    Render.Json.Obj [ ("result", Service.result_json r); ("metrics", Service.metrics_json reg) ]
   in
   let human () =
     String.concat "\n"
       [
-        result_human r;
+        Service.result_human r;
         "";
         "per-node:";
         node_table reg n;
@@ -388,7 +382,8 @@ let stats_act kernel cluster memory scheme window fuse format jobs =
         link_table reg;
       ]
   in
-  print_endline (Render.output format ~human doc)
+  print_endline (Render.output format ~human doc);
+  `Ok ()
 
 (* ------------------------------------------------------------------ *)
 (* inject: deterministic fault injection + schedule repair             *)
@@ -396,38 +391,35 @@ let stats_act kernel cluster memory scheme window fuse format jobs =
 module Plan = Ndp_fault.Plan
 
 (* Invariants of a fault run, verified by re-execution:
-   1. determinism — an identical second run (fresh plan from the same
-      seed) produces identical stats and finish time;
+   1. determinism — an identical second run (a fresh plan resolved from
+      the same spec, hence the same seed) produces identical stats and
+      finish time;
    2. an empty plan is byte-identical to running without one;
    3. under --repair, nodes the plan avoids end the run with zero busy
       cycles (every subcomputation was remapped off them);
    4. a non-empty plan surfaces its fault.* instruments in the registry. *)
-let inject_selfcheck ~config ~spec ~seed ~repair pool scheme kernel plan
-    (r : Pipeline.result) reg =
+let inject_selfcheck pool spec (job : Pipeline.Job.t) (o : Service.inject_outcome) =
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
-  let mesh = Ndp_sim.Config.mesh config in
-  let rerun =
-    let plan2 =
-      match Plan.parse ~mesh ~seed spec with Ok p -> p | Error m -> failwith m
-    in
-    Pipeline.Job.run ?pool (Pipeline.Job.make ~config ~faults:plan2 ~repair scheme kernel)
-  in
+  let r = o.Service.i_result and plan = o.Service.i_plan in
+  let rerun = Pipeline.Job.run ?pool (Result.get_ok (Service.job_of_spec spec)) in
   if not (Stats.equal r.Pipeline.stats rerun.Pipeline.stats) then
     fail "re-run with the same seed changed the statistics";
   if r.Pipeline.exec_time <> rerun.Pipeline.exec_time then
     fail "re-run with the same seed changed the finish time (%d <> %d)" r.Pipeline.exec_time
       rerun.Pipeline.exec_time;
   if Plan.is_empty plan then begin
-    let bare = Pipeline.Job.run ?pool (Pipeline.Job.make ~config scheme kernel) in
+    let bare =
+      Pipeline.Job.run ?pool { job with Pipeline.Job.faults = None; repair = false }
+    in
     if not (Stats.equal r.Pipeline.stats bare.Pipeline.stats) then
       fail "an empty fault plan changed the statistics vs a plain run"
   end
   else begin
-    (match Metrics.find reg "fault.link_retries" with
+    (match Metrics.find o.Service.i_reg "fault.link_retries" with
     | Some _ -> ()
     | None -> fail "non-empty plan but fault.link_retries is not in the registry");
-    if repair then
+    if job.Pipeline.Job.repair then
       List.iter
         (fun node ->
           if r.Pipeline.node_busy.(node) <> 0 then
@@ -445,26 +437,13 @@ let inject_selfcheck ~config ~spec ~seed ~repair pool scheme kernel plan
     List.iter (Printf.eprintf "inject selfcheck: %s\n") (List.rev fs);
     exit 1
 
-let inject_act kernel cluster memory scheme window spec fault_seed repair format selfcheck jobs
-    =
+let inject_act spec format selfcheck jobs =
+  with_job spec @@ fun job ->
   with_jobs jobs @@ fun pool ->
-  let config = config_of cluster memory in
-  let mesh = Ndp_sim.Config.mesh config in
-  let seed = Option.value fault_seed ~default:config.Ndp_sim.Config.seed in
-  let plan =
-    match Plan.parse ~mesh ~seed spec with
-    | Ok plan -> plan
-    | Error msg ->
-      Printf.eprintf "ndp_run inject: bad --faults spec: %s\n" msg;
-      exit 2
-  in
-  let scheme = scheme_of scheme window in
-  let job = Pipeline.Job.make ~config ~faults:plan ~repair scheme kernel in
-  let o = Service.inject ?pool ~spec job in
+  let o = Service.inject ?pool ~spec:spec.Protocol.faults job in
   print_endline (Render.output format ~human:o.Service.i_human o.Service.i_doc);
-  if selfcheck then
-    inject_selfcheck ~config ~spec ~seed ~repair pool scheme kernel plan o.Service.i_result
-      o.Service.i_reg
+  if selfcheck then inject_selfcheck pool spec job o;
+  `Ok ()
 
 (* ------------------------------------------------------------------ *)
 (* trace: Chrome trace_event JSON                                      *)
@@ -505,13 +484,11 @@ let trace_selfcheck tracer (r : Pipeline.result) =
     List.iter (Printf.eprintf "trace selfcheck: %s\n") (List.rev fs);
     exit 1
 
-let trace_act kernel cluster memory scheme window out format selfcheck jobs =
+let trace_act spec out format selfcheck jobs =
+  with_job spec @@ fun job ->
   with_jobs jobs @@ fun pool ->
   let obs = Ndp_obs.Sink.create ~metrics:true ~trace:true () in
-  let r =
-    Pipeline.Job.run ?pool ~obs
-      (Pipeline.Job.make ~config:(config_of cluster memory) (scheme_of scheme window) kernel)
-  in
+  let r = Pipeline.Job.run ?pool ~obs job in
   let tracer = obs.Ndp_obs.Sink.trace in
   let payload =
     match format with
@@ -527,17 +504,16 @@ let trace_act kernel cluster memory scheme window out format selfcheck jobs =
     close_out oc;
     Printf.printf "wrote %s (%d events, %d dropped)\n" file (Trace.length tracer)
       (Trace.dropped tracer));
-  if selfcheck then trace_selfcheck tracer r
+  if selfcheck then trace_selfcheck tracer r;
+  `Ok ()
 
 (* ------------------------------------------------------------------ *)
 (* profile: movement attribution ledger + counter timeline             *)
 
-let profile_act kernel cluster memory scheme window interval top out spans format jobs =
+let profile_act spec interval top out spans format jobs =
+  with_job spec @@ fun job ->
   with_jobs jobs @@ fun pool ->
   let want_trace = out <> "" in
-  let job =
-    Pipeline.Job.make ~config:(config_of cluster memory) (scheme_of scheme window) kernel
-  in
   let sp = if spans then Ndp_obs.Span.create () else Ndp_obs.Span.none in
   let o = Service.profile ?pool ~trace:want_trace ~spans:sp ~interval ~top job in
   let obs = o.Service.p_sink in
@@ -578,19 +554,15 @@ let profile_act kernel cluster memory scheme window interval top out spans forma
     Printf.eprintf "ndp_run profile: ledger flit-hops %d do not reconcile with noc.link_flits %d\n"
       o.Service.p_measured o.Service.p_link_flits;
     exit 1
-  end
+  end;
+  `Ok ()
 
 (* ------------------------------------------------------------------ *)
 (* analyze: static cost table reconciled against a measured run        *)
 
-let analyze_act kernel cluster memory scheme window fuse fuse_capacity fusion threshold format
-    jobs =
+let analyze_act spec fuse_capacity fusion threshold format jobs =
+  with_job ?fuse_capacity spec @@ fun job ->
   with_jobs jobs @@ fun pool ->
-  let job =
-    Pipeline.Job.make ~config:(config_of cluster memory)
-      (scheme_of ~fuse ?fuse_capacity scheme window)
-      kernel
-  in
   if fusion then begin
     (* The decision table: [analyze_fusion] forces the fused/unfused pair
        itself, so --fusion works with or without --fuse. *)
@@ -608,7 +580,8 @@ let analyze_act kernel cluster memory scheme window fuse fuse_capacity fusion th
         (Service.ratio_cell o.Service.a_ratio) threshold;
       exit 1
     end
-  end
+  end;
+  `Ok ()
 
 (* ------------------------------------------------------------------ *)
 (* list / codegen / dot / check                                        *)
@@ -620,25 +593,11 @@ let list_act () =
       Printf.printf "%-10s %s\n" name k.Ndp_core.Kernel.description)
     Ndp_workloads.Suite.names
 
-let context_of kernel =
-  let config = Ndp_sim.Config.default in
-  let machine = Ndp_sim.Machine.create config in
-  let insp = Ndp_core.Kernel.inspector kernel in
-  Ndp_ir.Inspector.run insp;
-  let address_of = Ndp_core.Kernel.address_of kernel in
-  let ctx =
-    Ndp_core.Context.create ~machine
-      ~compiler_resolve:(Ndp_ir.Inspector.compiler_resolver insp ~address_of)
-      ~runtime_resolve:(Ndp_ir.Inspector.runtime_resolver insp ~address_of)
-      ~arrays:kernel.Ndp_core.Kernel.program.Ndp_ir.Loop.arrays
-      ~options:(Ndp_core.Context.default_options config) ()
-  in
-  (machine, ctx)
-
 let codegen_act kernel =
   (* Render the subcomputation program of the first window of the first
      nest, Figure 8 style. *)
-  let machine, ctx = context_of kernel in
+  let ctx = Pipeline.static_context Pipeline.Default kernel in
+  let nodes = Ndp_noc.Mesh.size (Ndp_sim.Machine.mesh ctx.Ndp_core.Context.machine) in
   match kernel.Ndp_core.Kernel.program.Ndp_ir.Loop.nests with
   | [] -> prerr_endline "kernel has no loop nests"
   | nest :: _ ->
@@ -651,7 +610,7 @@ let codegen_act kernel =
                (fun si stmt ->
                  {
                    Ndp_core.Window.group = (ii * List.length nest.Ndp_ir.Loop.body) + si;
-                   default_node = ii mod Ndp_noc.Mesh.size (Ndp_sim.Machine.mesh machine);
+                   default_node = ii mod nodes;
                    inst = { Ndp_ir.Dependence.stmt_idx = si; stmt; env };
                  })
                nest.Ndp_ir.Loop.body)
@@ -669,7 +628,7 @@ let codegen_act kernel =
     print_endline (Ndp_core.Codegen.emit (List.map fst compiled.Ndp_core.Window.tasks))
 
 let dot_act kernel =
-  let _, ctx = context_of kernel in
+  let ctx = Pipeline.static_context Pipeline.Default kernel in
   match kernel.Ndp_core.Kernel.program.Ndp_ir.Loop.nests with
   | [] -> prerr_endline "kernel has no loop nests"
   | nest :: _ ->
@@ -690,44 +649,35 @@ let dot_act kernel =
     let compiled = Ndp_core.Window.compile ctx metas in
     print_endline (Ndp_core.Graphviz.task_graph compiled.Ndp_core.Window.tasks)
 
-let check_act kernel cluster memory window fuse format jobs =
-  let config = config_of cluster memory in
+let check_act kernel spec fuse format jobs =
+  let ( let* ) = Result.bind in
+  let scheme name = Service.scheme_of_spec { spec with Protocol.scheme = name } in
+  (let* config = Service.config_of_spec spec in
+   let* partitioned = scheme "partitioned" in
+   let* fused = scheme "partitioned+fuse" in
+   Ok (config, partitioned, fused))
+  |> resolved @@ fun (config, partitioned, fused) ->
   let kernels =
     match kernel with
     | Some k -> [ k ]
     | None -> List.map Ndp_workloads.Suite.find Ndp_workloads.Suite.names
   in
   let jobs = match jobs with Some j -> max 1 j | None -> Ndp_prelude.Pool.default_jobs () in
-  let schemes =
-    [ Pipeline.Default; scheme_of `Partitioned window ]
-    @ (if fuse then [ scheme_of ~fuse `Partitioned window ] else [])
-  in
+  let schemes = [ Pipeline.Default; partitioned ] @ if fuse then [ fused ] else [] in
   (* W204 checks a concrete size against each nest; only a fixed window
      gives it one. *)
-  let fixed = match window with Some (`Fixed k) -> Some k | Some `Analytic | None -> None in
+  let fixed =
+    match partitioned with
+    | Pipeline.Partitioned { Pipeline.window = Pipeline.Fixed k; _ } -> Some k
+    | _ -> None
+  in
   let reports = Ndp_analysis.Checker.check_suite ~config ?window:fixed ~jobs ~schemes kernels in
   print_endline (Ndp_analysis.Checker.render ~format reports);
-  if Ndp_analysis.Checker.has_errors reports then exit 1
+  if Ndp_analysis.Checker.has_errors reports then exit 1;
+  `Ok ()
 
 (* ------------------------------------------------------------------ *)
 (* serve / client: the compile-as-a-service daemon and its CLI client  *)
-
-let spec_of_flags app cluster memory scheme window faults fault_seed repair =
-  {
-    Protocol.app;
-    scheme = (match scheme with `Default -> "default" | `Partitioned -> "partitioned");
-    window =
-      (match window with
-      | None -> "adaptive"
-      | Some `Analytic -> "analytic"
-      | Some (`Fixed k) -> string_of_int k);
-    cluster = Ndp_noc.Cluster.to_string cluster;
-    memory = Ndp_sim.Config.memory_mode_to_string memory;
-    tweaks = Pipeline.no_tweaks;
-    faults;
-    fault_seed;
-    repair;
-  }
 
 (* The canonical demo session: exercises compile sharing (the repeated
    Run and the Compile/Sweep pair) and ends with deterministic cache
@@ -792,52 +742,53 @@ let client_sweep_variants =
       ("l2-hit-cycles-36", [ ("l2_hit_cycles", 36) ]);
     ]
 
-let client_act op app socket cluster memory scheme window faults fault_seed repair interval top
-    threshold metrics meta =
+let client_act op spec socket interval top threshold metrics meta =
   if socket = "" then begin
     prerr_endline "ndp_run client: --socket PATH required";
     exit 2
   end;
-  let spec_of name = spec_of_flags name cluster memory scheme window faults fault_seed repair in
-  let need_app () =
-    match app with
-    | Some (k : Ndp_core.Kernel.t) -> spec_of k.Ndp_core.Kernel.name
-    | None ->
-      prerr_endline "ndp_run client: this operation needs an APP argument";
-      exit 2
-  in
-  let request =
-    match op with
-    | `Ping -> Protocol.Ping
-    | `List -> Protocol.List_apps
-    | `Run -> Protocol.Run { spec = need_app (); metrics }
-    | `Compile -> Protocol.Compile (need_app ())
-    | `Profile -> Protocol.Profile { spec = need_app (); interval; top }
-    | `Analyze -> Protocol.Analyze { spec = need_app (); threshold }
-    | `Inject -> Protocol.Inject (need_app ())
-    | `Sweep -> Protocol.Sweep { spec = need_app (); variants = client_sweep_variants }
-    | `Cache_stats -> Protocol.Cache_stats
-    | `Metrics -> Protocol.Metrics_dump
-    | `Metrics_text -> Protocol.Metrics_text
-    | `Shutdown -> Protocol.Shutdown
-  in
-  match Ndp_serve.Client.connect socket with
-  | Error msg ->
-    Printf.eprintf "ndp_run client: %s\n" msg;
-    exit 1
-  | Ok client -> (
-    let r = Ndp_serve.Client.rpc client request in
-    Ndp_serve.Client.close client;
-    match r with
+  let send request =
+    match Ndp_serve.Client.connect socket with
     | Error msg ->
       Printf.eprintf "ndp_run client: %s\n" msg;
       exit 1
-    | Ok (env, body) ->
-      if meta then
-        Printf.eprintf "id=%d ok=%b cached=%b key=%s\n" env.Protocol.id env.Protocol.ok
-          env.Protocol.cached env.Protocol.key;
-      print_endline body;
-      if not env.Protocol.ok then exit 1)
+    | Ok client -> (
+      let r = Ndp_serve.Client.rpc client request in
+      Ndp_serve.Client.close client;
+      match r with
+      | Error msg ->
+        Printf.eprintf "ndp_run client: %s\n" msg;
+        exit 1
+      | Ok (env, body) ->
+        if meta then
+          Printf.eprintf "id=%d ok=%b cached=%b key=%s\n" env.Protocol.id env.Protocol.ok
+            env.Protocol.cached env.Protocol.key;
+        print_endline body;
+        if not env.Protocol.ok then exit 1;
+        `Ok ())
+  in
+  (* The spec is resolved before it is sent, so a bad flag is the same
+     usage error here as on every other subcommand. *)
+  let with_spec request =
+    if spec.Protocol.app = "" then begin
+      prerr_endline "ndp_run client: this operation needs an APP argument";
+      exit 2
+    end;
+    with_job spec @@ fun _ -> send (request spec)
+  in
+  match op with
+  | `Ping -> send Protocol.Ping
+  | `List -> send Protocol.List_apps
+  | `Run -> with_spec (fun spec -> Protocol.Run { spec; metrics })
+  | `Compile -> with_spec (fun spec -> Protocol.Compile spec)
+  | `Profile -> with_spec (fun spec -> Protocol.Profile { spec; interval; top })
+  | `Analyze -> with_spec (fun spec -> Protocol.Analyze { spec; threshold })
+  | `Inject -> with_spec (fun spec -> Protocol.Inject spec)
+  | `Sweep -> with_spec (fun spec -> Protocol.Sweep { spec; variants = client_sweep_variants })
+  | `Cache_stats -> send Protocol.Cache_stats
+  | `Metrics -> send Protocol.Metrics_dump
+  | `Metrics_text -> send Protocol.Metrics_text
+  | `Shutdown -> send Protocol.Shutdown
 
 (* ------------------------------------------------------------------ *)
 (* bench diff: the perf-regression sentinel                            *)
@@ -973,7 +924,7 @@ let op_arg =
 let client_app =
   Arg.(
     value
-    & pos 1 (some Args.kernel_conv) None
+    & pos 1 string ""
     & info [] ~docv:"APP"
         ~doc:"Application kernel name (run/compile/profile/analyze/inject/sweep only).")
 
@@ -989,24 +940,25 @@ let commands =
       summary = "Compile and simulate one application.";
       term =
         Term.(
-          const run_act $ Args.kernel $ Args.cluster $ Args.memory $ Args.scheme $ Args.window
-          $ Args.fuse $ Args.fuse_capacity $ Args.metrics $ Args.format $ Args.jobs);
+          ret
+            (const run_act $ Args.spec ~fuse:Args.fuse Args.app $ Args.fuse_capacity
+           $ Args.metrics $ Args.format $ Args.jobs));
     };
     {
       name = "compare";
       summary = "Run default and partitioned placements and compare.";
       term =
         Term.(
-          const compare_act $ Args.kernel $ Args.cluster $ Args.memory $ Args.window
-          $ Args.fuse $ Args.metrics $ Args.format $ Args.jobs);
+          ret
+            (const compare_act
+            $ Args.spec ~scheme:(const "partitioned") ~fuse:Args.fuse Args.app
+            $ Args.metrics $ Args.format $ Args.jobs));
     };
     {
       name = "stats";
       summary = "Simulate with metrics enabled and print per-node/per-link breakdowns.";
       term =
-        Term.(
-          const stats_act $ Args.kernel $ Args.cluster $ Args.memory $ Args.scheme $ Args.window
-          $ Args.fuse $ Args.format $ Args.jobs);
+        Term.(ret (const stats_act $ Args.spec ~fuse:Args.fuse Args.app $ Args.format $ Args.jobs));
     };
     {
       name = "inject";
@@ -1015,17 +967,20 @@ let commands =
          backpressure), optionally repairing the schedule around it.";
       term =
         Term.(
-          const inject_act $ Args.kernel $ Args.cluster $ Args.memory $ Args.scheme
-          $ Args.window $ Args.faults $ Args.fault_seed $ Args.repair $ Args.format
-          $ Args.selfcheck $ Args.jobs);
+          ret
+            (const inject_act
+            $ Args.spec ~faults:Args.faults ~fault_seed:Args.fault_seed ~repair:Args.repair
+                Args.app
+            $ Args.format $ Args.selfcheck $ Args.jobs));
     };
     {
       name = "trace";
       summary = "Simulate with tracing enabled and write Chrome trace_event JSON (Perfetto).";
       term =
         Term.(
-          const trace_act $ Args.kernel $ Args.cluster $ Args.memory $ Args.scheme $ Args.window
-          $ Args.out_file $ Args.format $ Args.selfcheck $ Args.jobs);
+          ret
+            (const trace_act $ Args.spec Args.app $ Args.out_file $ Args.format $ Args.selfcheck
+           $ Args.jobs));
     };
     {
       name = "profile";
@@ -1035,9 +990,9 @@ let commands =
          counter tracks.";
       term =
         Term.(
-          const profile_act $ Args.kernel $ Args.cluster $ Args.memory $ Args.scheme
-          $ Args.window $ Args.interval $ Args.top $ Args.profile_out $ Args.spans
-          $ Args.format $ Args.jobs);
+          ret
+            (const profile_act $ Args.spec Args.app $ Args.interval $ Args.top $ Args.profile_out
+           $ Args.spans $ Args.format $ Args.jobs));
     };
     {
       name = "analyze";
@@ -1048,9 +1003,9 @@ let commands =
          (predicted vs measured saved flit-hops per fused chain) instead.";
       term =
         Term.(
-          const analyze_act $ Args.kernel $ Args.cluster $ Args.memory $ Args.scheme
-          $ Args.window $ Args.fuse $ Args.fuse_capacity $ Args.fusion $ Args.threshold
-          $ Args.format $ Args.jobs);
+          ret
+            (const analyze_act $ Args.spec ~fuse:Args.fuse Args.app $ Args.fuse_capacity
+           $ Args.fusion $ Args.threshold $ Args.format $ Args.jobs));
     };
     { name = "list"; summary = "List the application kernels."; term = Term.(const list_act $ const ()) };
     {
@@ -1079,9 +1034,11 @@ let commands =
       summary = "Send one request to a running serve daemon and print the response body.";
       term =
         Term.(
-          const client_act $ op_arg $ client_app $ socket_arg $ Args.cluster $ Args.memory
-          $ Args.scheme $ Args.window $ Args.faults $ Args.fault_seed $ Args.repair
-          $ Args.interval $ Args.top $ Args.threshold $ Args.metrics $ meta_arg);
+          ret
+            (const client_act $ op_arg
+            $ Args.spec ~faults:Args.faults ~fault_seed:Args.fault_seed ~repair:Args.repair
+                client_app
+            $ socket_arg $ Args.interval $ Args.top $ Args.threshold $ Args.metrics $ meta_arg));
     };
     {
       name = "check";
@@ -1091,8 +1048,10 @@ let commands =
          --fuse; exit nonzero on any error.";
       term =
         Term.(
-          const check_act $ Args.kernel_opt $ Args.cluster $ Args.memory $ Args.window
-          $ Args.fuse $ Args.format $ Args.jobs);
+          ret
+            (const check_act $ Args.kernel_opt
+            $ Args.spec ~scheme:(const "partitioned") (const "")
+            $ Args.fuse $ Args.format $ Args.jobs));
     };
   ]
 

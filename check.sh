@@ -6,7 +6,9 @@
 # within the divergence threshold of the measured ledger),
 # the fault-injection + schedule-repair self-check, the serve daemon
 # round-trip (a repeated identical request must come back as a
-# byte-identical cache hit), the telemetry gate (one JSONL access-log
+# byte-identical cache hit, and run/analyze/profile/inject bodies must
+# be byte-identical to the CLI's --format json output), the telemetry
+# gate (one JSONL access-log
 # line per request, a well-formed Prometheus exposition, and per-phase
 # span sums reconciling with the request-latency histogram within 5%),
 # the bench sentinel (`bench diff` accepts the committed BENCH_micro.json
@@ -119,7 +121,10 @@ assert t['static_flit_hops'] > 0 and t['measured_flit_hops'] > 0, 'empty totals'
 serve_gate() (
   # Start the compile-as-a-service daemon on a throwaway socket, send the
   # same profile request twice, and assert the second reply is a result
-  # cache hit whose body is byte-identical to the cold one; then shut the
+  # cache hit whose body is byte-identical to the cold one. Then check
+  # CLI/daemon parity: the CLI and the daemon resolve the same spec
+  # through the same table, so each daemon body must be byte-identical to
+  # the matching subcommand's --format json output. Finally shut the
   # daemon down cleanly.
   set -e
   _sock=$(mktemp -u /tmp/ndp_serve.XXXXXX.sock)
@@ -145,9 +150,19 @@ serve_gate() (
   "$_client" client profile fft --socket "$_sock" --meta >"$_warm" 2>"$_meta"
   grep -q "cached=true" "$_meta"
   cmp "$_cold" "$_warm"
+  _parity=0
+  for _op in run analyze profile inject; do
+    "$_client" "$_op" fft --format json >"$_cold"
+    "$_client" client "$_op" fft --socket "$_sock" >"$_warm"
+    if ! cmp "$_cold" "$_warm"; then
+      echo "serve_gate: daemon $_op body differs from ndp_run $_op fft --format json" >&2
+      _parity=1
+    fi
+  done
   "$_client" client shutdown --socket "$_sock" >/dev/null
   wait "$_daemon"
   rm -f "$_sock" "$_cold" "$_warm" "$_meta"
+  [ "$_parity" -eq 0 ]
 )
 
 fusion_gate() (

@@ -27,19 +27,20 @@ let build () =
 
 let () =
   let kernel = build () in
-  let run label options =
-    let r = Ndp_core.Pipeline.run (Ndp_core.Pipeline.Partitioned options) kernel in
+  let run scheme = Ndp_core.Pipeline.(Job.run (Job.make scheme kernel)) in
+  let report label options =
+    let r = run (Ndp_core.Pipeline.Partitioned options) in
     Printf.printf "%-22s exec %6d | movement %6d | analyzable refs %4.1f%%\n" label
       r.Ndp_core.Pipeline.exec_time (Ndp_sim.Stats.hops r.Ndp_core.Pipeline.stats)
       (100.0 *. r.Ndp_core.Pipeline.analyzable_fraction);
     r
   in
-  let d = Ndp_core.Pipeline.run Ndp_core.Pipeline.Default kernel in
+  let d = run Ndp_core.Pipeline.Default in
   Printf.printf "%-22s exec %6d | movement %6d\n" "default" d.Ndp_core.Pipeline.exec_time
     (Ndp_sim.Stats.hops d.Ndp_core.Pipeline.stats);
-  let with_inspector = run "executor (inspector)" Ndp_core.Pipeline.partitioned_defaults in
+  let with_inspector = report "executor (inspector)" Ndp_core.Pipeline.partitioned_defaults in
   let without =
-    run "no inspector"
+    report "no inspector"
       { Ndp_core.Pipeline.partitioned_defaults with Ndp_core.Pipeline.use_inspector = false }
   in
   Printf.printf

@@ -23,12 +23,9 @@ let () =
   let kernel =
     Ndp_core.Kernel.make ~name:"quickstart" ~description:"Figure 3/11 example" ~program ()
   in
-  let default = Ndp_core.Pipeline.run Ndp_core.Pipeline.Default kernel in
-  let ours =
-    Ndp_core.Pipeline.run
-      (Ndp_core.Pipeline.Partitioned Ndp_core.Pipeline.partitioned_defaults)
-      kernel
-  in
+  let run scheme = Ndp_core.Pipeline.(Job.run (Job.make scheme kernel)) in
+  let default = run Ndp_core.Pipeline.Default in
+  let ours = run Ndp_core.Pipeline.(Partitioned partitioned_defaults) in
   let line label (r : Ndp_core.Pipeline.result) =
     Printf.printf "%-12s exec %6d cycles | movement %6d flit-hops | L1 %4.1f%% | syncs %d\n" label
       r.Ndp_core.Pipeline.exec_time (Ndp_sim.Stats.hops r.Ndp_core.Pipeline.stats)

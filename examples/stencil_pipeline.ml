@@ -31,18 +31,16 @@ let build () =
 
 let () =
   let kernel = build () in
+  let run ?config scheme = Ndp_core.Pipeline.(Job.run (Job.make ?config scheme kernel)) in
+  let partitioned = Ndp_core.Pipeline.(Partitioned partitioned_defaults) in
   Printf.printf "%-12s %-8s %10s %10s %8s\n" "cluster" "memory" "default" "ours" "gain";
   List.iter
     (fun cluster ->
       List.iter
         (fun memory ->
           let config = Ndp_sim.Config.with_modes Ndp_sim.Config.default cluster memory in
-          let d = Ndp_core.Pipeline.run ~config Ndp_core.Pipeline.Default kernel in
-          let o =
-            Ndp_core.Pipeline.run ~config
-              (Ndp_core.Pipeline.Partitioned Ndp_core.Pipeline.partitioned_defaults)
-              kernel
-          in
+          let d = run ~config Ndp_core.Pipeline.Default in
+          let o = run ~config partitioned in
           Printf.printf "%-12s %-8s %10d %10d %7.1f%%\n"
             (Ndp_noc.Cluster.to_string cluster)
             (Ndp_sim.Config.memory_mode_to_string memory)
@@ -52,10 +50,7 @@ let () =
             /. float_of_int d.Ndp_core.Pipeline.exec_time))
         Ndp_sim.Config.all_memory_modes)
     Ndp_noc.Cluster.all;
-  let o =
-    Ndp_core.Pipeline.run (Ndp_core.Pipeline.Partitioned Ndp_core.Pipeline.partitioned_defaults)
-      kernel
-  in
+  let o = run partitioned in
   Printf.printf "\nadaptive window chosen per nest: %s\n"
     (String.concat ", "
        (List.map (fun (n, w) -> Printf.sprintf "%s=%d" n w) o.Ndp_core.Pipeline.windows_chosen))

@@ -14,7 +14,8 @@ let () =
         (String.concat ", " Ndp_workloads.Suite.names);
       exit 1
   in
-  let default = Ndp_core.Pipeline.run Ndp_core.Pipeline.Default kernel in
+  let run scheme = Ndp_core.Pipeline.(Job.run (Job.make scheme kernel)) in
+  let default = run Ndp_core.Pipeline.Default in
   let base = default.Ndp_core.Pipeline.exec_time in
   Printf.printf "app: %s (default exec %d cycles)\n\n" app base;
   Printf.printf "%-10s %10s %8s %8s %8s\n" "window" "exec" "gain" "L1" "syncs";
@@ -25,20 +26,10 @@ let () =
       r.Ndp_core.Pipeline.sync_arcs
   in
   for w = 1 to 8 do
-    let r =
-      Ndp_core.Pipeline.run
-        (Ndp_core.Pipeline.Partitioned
-           { Ndp_core.Pipeline.partitioned_defaults with
-             Ndp_core.Pipeline.window = Ndp_core.Pipeline.Fixed w })
-        kernel
-    in
+    let r = run Ndp_core.Pipeline.(Partitioned { partitioned_defaults with window = Fixed w }) in
     report (Printf.sprintf "fixed %d" w) r
   done;
-  let adaptive =
-    Ndp_core.Pipeline.run
-      (Ndp_core.Pipeline.Partitioned Ndp_core.Pipeline.partitioned_defaults)
-      kernel
-  in
+  let adaptive = run Ndp_core.Pipeline.(Partitioned partitioned_defaults) in
   report "adaptive" adaptive;
   Printf.printf "\nadaptive chose: %s\n"
     (String.concat ", "

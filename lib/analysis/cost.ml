@@ -94,12 +94,7 @@ let nest_movement ~scheme config ctx (nest : Loop.nest) metas =
   let window =
     match scheme with
     | Pipeline.Default -> None
-    | Pipeline.Partitioned o ->
-      Some
-        (match o.Pipeline.window with
-        | Pipeline.Fixed k -> max 1 k
-        | Pipeline.Adaptive | Pipeline.Analytic ->
-          Window.choose_size_analytic ctx metas ~max:config.Config.max_window)
+    | Pipeline.Partitioned o -> Some (Pipeline.window_size ~config ctx o.Pipeline.window metas)
   in
   (match window with
   | None ->

@@ -183,8 +183,13 @@ let apply_tweaks tweaks (task : Task.t) =
 
 let line_of config va = va / config.Config.line_bytes
 
-(* The record request behind every entry point: one value carries what
-   used to be [run]'s optional-argument sprawl, so jobs can be hashed
+let window_size ?pool ~config ctx policy metas =
+  match policy with
+  | Fixed k -> max 1 k
+  | Adaptive | Analytic -> Window.choose_size_analytic ?pool ctx metas ~max:config.Config.max_window
+
+(* The record request behind every entry point: one value carries every
+   input of a compile+simulate outcome, so jobs can be hashed
    (Ndp_serve.Key), batched ([run_batch]) and shipped over a wire
    (Ndp_serve.Protocol) without re-encoding eight optionals each time. *)
 type job = {
@@ -355,12 +360,7 @@ let run_job ?pool ?(obs = Ndp_obs.Sink.none) (j : job) =
       (fun ((nest : Loop.nest), metas) ->
         let sp_w = Ndp_obs.Span.enter spans "window" in
         Ndp_obs.Span.attr_str spans sp_w "nest" nest.Loop.nest_name;
-        let w =
-          match opts.window with
-          | Fixed k -> max 1 k
-          | Adaptive | Analytic ->
-            Window.choose_size_analytic ?pool ctx metas ~max:config.Config.max_window
-        in
+        let w = window_size ?pool ~config ctx opts.window metas in
         Ndp_obs.Span.attr_int spans sp_w "w" w;
         Ndp_obs.Span.exit spans sp_w;
         windows_chosen := (nest.Loop.nest_name, w) :: !windows_chosen;
@@ -569,16 +569,11 @@ module Job = struct
   let run = run_job
 end
 
-(* Thin compatibility wrapper over [Job]; prefer [Job.make] + [Job.run]. *)
-let run ?config ?tweaks ?(validate = false) ?(capture = false) ?pool ?obs ?faults ?repair
-    scheme kernel =
-  run_job ?pool ?obs (job_make ?config ?tweaks ?faults ?repair ~validate ~capture scheme kernel)
-
 (* --- Batched simulation ------------------------------------------------ *)
 
 (* Each job builds its own machine, engine, context and inspector, and a
    [Kernel.t] is immutable, so jobs share no mutable state and each result
-   is byte-identical to the corresponding solo [run]. Metrics follow the
+   is byte-identical to the corresponding solo [Job.run]. Metrics follow the
    [Sharded] discipline with a twist: every JOB (not domain) fills a
    private registry — two jobs sharing a per-domain shard would also share
    [Stats] counter handles and read each other's counts — and the private

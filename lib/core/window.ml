@@ -489,13 +489,20 @@ let choose_size_analytic ?pool (ctx : Context.t) metas ~max:max_size =
          candidates with the sampled estimator; among equal estimates the
          smallest window wins. The walk above already resolved (and
          page-allocated) every address the sample reaches, so pooled
-         evaluation only reads shared machine state. *)
-      let estimate w = estimate_sliced ctx sample all_deps ~window:w in
-      let estimates =
+         evaluation only reads shared machine state — apart from the
+         home-lookup counter, which each estimate bumps on a private view
+         of the machine, added back once every estimate is done. *)
+      let estimate w =
+        let machine, flush = Ndp_sim.Machine.fork_lookups ctx.Context.machine in
+        (estimate_sliced { ctx with Context.machine } sample all_deps ~window:w, flush)
+      in
+      let scored =
         match pool with
         | Some p -> Ndp_prelude.Pool.parallel_map p estimate ties
         | None -> List.map estimate ties
       in
+      List.iter (fun (_, flush) -> flush ()) scored;
+      let estimates = List.map fst scored in
       let best_w, _ =
         List.fold_left2
           (fun (best_w, best_m) w m -> if m < best_m then (w, m) else (best_w, best_m))

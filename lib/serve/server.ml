@@ -85,7 +85,7 @@ let field_error e = reply_of ~ok:false ~cached:false ~key:"" (body (Service.fiel
    which is what makes cached and uncached responses byte-identical. *)
 let cacheable t spec ~salt render =
   match Service.job_of_spec spec with
-  | Error msg -> error msg
+  | Error e -> field_error e
   | Ok job ->
     let key = Key.digest (salt ^ "#" ^ Key.job job) in
     let b, hit = Cache.find_or_add t.results key (fun () -> render job) in
@@ -285,7 +285,7 @@ let handle t (req : Protocol.request) =
           |> Result.map List.rev
         in
         match jobs with
-        | Error msg -> error msg
+        | Error e -> field_error e
         | Ok jobs ->
           let key =
             Key.digest (String.concat "#" ("batch" :: List.map Key.job jobs))

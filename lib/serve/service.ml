@@ -13,54 +13,6 @@ module Cost = Ndp_analysis.Cost
 
 let ( let* ) = Result.bind
 
-let window_of_string s =
-  match String.lowercase_ascii s with
-  | "" | "adaptive" -> Ok Pipeline.Adaptive
-  | "analytic" -> Ok Pipeline.Analytic
-  | other -> (
-    match int_of_string_opt other with
-    | Some k -> Ok (Pipeline.Fixed k)
-    | None -> Error (Printf.sprintf "expected a window size, \"adaptive\" or \"analytic\", got %S" s))
-
-let scheme_of_spec (s : Protocol.job_spec) =
-  match String.lowercase_ascii s.Protocol.scheme with
-  | "default" -> Ok Pipeline.Default
-  | "partitioned" ->
-    let* w = window_of_string s.Protocol.window in
-    Ok (Pipeline.Partitioned { Pipeline.partitioned_defaults with Pipeline.window = w })
-  | "partitioned+fuse" | "fused" ->
-    let* w = window_of_string s.Protocol.window in
-    Ok
-      (Pipeline.Partitioned
-         { Pipeline.partitioned_defaults with Pipeline.window = w; Pipeline.fuse = true })
-  | other ->
-    Error
-      (Printf.sprintf "unknown scheme %S (expected default, partitioned or partitioned+fuse)"
-         other)
-
-let config_of_spec (s : Protocol.job_spec) =
-  let* cluster = Ndp_noc.Cluster.of_string s.Protocol.cluster in
-  let* memory = Config.memory_mode_of_string s.Protocol.memory in
-  Ok (Config.with_modes Config.default cluster memory)
-
-let job_of_spec (s : Protocol.job_spec) =
-  match Ndp_workloads.Suite.find s.Protocol.app with
-  | exception Not_found -> Error (Printf.sprintf "unknown application %S" s.Protocol.app)
-  | kernel ->
-    let* config = config_of_spec s in
-    let* scheme = scheme_of_spec s in
-    let* faults =
-      if s.Protocol.faults = "" && s.Protocol.fault_seed = None then Ok None
-      else
-        let mesh = Config.mesh config in
-        let seed = Option.value s.Protocol.fault_seed ~default:config.Config.seed in
-        let* plan = Plan.parse ~mesh ~seed s.Protocol.faults in
-        Ok (Some plan)
-    in
-    Ok
-      (Pipeline.Job.make ~config ~tweaks:s.Protocol.tweaks ?faults ~repair:s.Protocol.repair
-         scheme kernel)
-
 type field_error = { field : string; reason : string }
 
 let field_error_json e =
@@ -69,6 +21,65 @@ let field_error_json e =
       ("error", Render.Json.Str (Printf.sprintf "field %s: %s" e.field e.reason));
       ("field", Render.Json.Str e.field);
     ]
+
+let refuse field result = Result.map_error (fun reason -> { field; reason }) result
+
+(* A fixed window below 1 would be clamped to 1 by the pipeline, so it
+   is refused here rather than cached under a key of its own. *)
+let window_of_string s =
+  refuse "window"
+    (match String.lowercase_ascii s with
+    | "" | "adaptive" -> Ok Pipeline.Adaptive
+    | "analytic" -> Ok Pipeline.Analytic
+    | other -> (
+      match int_of_string_opt other with
+      | Some k when k >= 1 -> Ok (Pipeline.Fixed k)
+      | Some k -> Error (Printf.sprintf "a fixed window must be at least 1, got %d" k)
+      | None ->
+        Error
+          (Printf.sprintf "expected a window size, \"adaptive\" or \"analytic\", got %S" s)))
+
+let scheme_of_spec (s : Protocol.job_spec) =
+  let partitioned ~fuse =
+    let* w = window_of_string s.Protocol.window in
+    Ok (Pipeline.Partitioned { Pipeline.partitioned_defaults with Pipeline.window = w; fuse })
+  in
+  match String.lowercase_ascii s.Protocol.scheme with
+  | "default" -> Ok Pipeline.Default
+  | "partitioned" -> partitioned ~fuse:false
+  | "partitioned+fuse" | "fused" -> partitioned ~fuse:true
+  | other ->
+    Error
+      {
+        field = "scheme";
+        reason =
+          Printf.sprintf "unknown scheme %S (expected default, partitioned or partitioned+fuse)"
+            other;
+      }
+
+let config_of_spec (s : Protocol.job_spec) =
+  let* cluster = refuse "cluster" (Ndp_noc.Cluster.of_string s.Protocol.cluster) in
+  let* memory = refuse "memory" (Config.memory_mode_of_string s.Protocol.memory) in
+  Ok (Config.with_modes Config.default cluster memory)
+
+let job_of_spec (s : Protocol.job_spec) =
+  match Ndp_workloads.Suite.find s.Protocol.app with
+  | exception Not_found ->
+    Error { field = "app"; reason = Printf.sprintf "unknown application %S" s.Protocol.app }
+  | kernel ->
+    let* config = config_of_spec s in
+    let* scheme = scheme_of_spec s in
+    let* faults =
+      if s.Protocol.faults = "" && s.Protocol.fault_seed = None then Ok None
+      else
+        let mesh = Config.mesh config in
+        let seed = Option.value s.Protocol.fault_seed ~default:config.Config.seed in
+        let* plan = refuse "faults" (Plan.parse ~mesh ~seed s.Protocol.faults) in
+        Ok (Some plan)
+    in
+    Ok
+      (Pipeline.Job.make ~config ~tweaks:s.Protocol.tweaks ?faults ~repair:s.Protocol.repair
+         scheme kernel)
 
 (* Simulation-side integer knobs a sweep variant may override, each with
    the least value the models accept: a cycle count may be zero, but the
@@ -703,7 +714,7 @@ let inject ?pool ?(spans = Ndp_obs.Span.none) ~spec (job : Pipeline.Job.t) =
   let plan =
     match job.Pipeline.Job.faults with
     | Some p -> p
-    | None -> Plan.empty ~mesh:(Config.mesh config)
+    | None -> Plan.make ~mesh:(Config.mesh config) ~seed:config.Config.seed []
   in
   let repair = job.Pipeline.Job.repair in
   let obs = Ndp_obs.Sink.create ~metrics:true ~trace:false () in

@@ -1,31 +1,40 @@
-(** The one execution-and-rendering path behind every consumer of the
-    pipeline: `ndp_run`'s subcommands, the serve daemon and the tests all
-    resolve a {!Protocol.job_spec} to a {!Ndp_core.Pipeline.Job} here and
-    render results through the same document builders, so a response body
-    from the daemon is byte-identical to the corresponding CLI output
-    under [--format json]. *)
+(** The one request path behind every consumer of the pipeline:
+    [ndp_run]'s subcommands turn their flags into a {!Protocol.job_spec},
+    the serve daemon decodes one from the wire, and both resolve it to a
+    {!Ndp_core.Pipeline.Job} through {!job_of_spec} and render the result
+    through the same document builders below. A daemon response body is
+    therefore byte-identical to the corresponding subcommand's
+    [--format json] output for the same spec. *)
 
-(** {1 Spec resolution} *)
+(** {1 Spec resolution}
 
-val window_of_string : string -> (Ndp_core.Pipeline.window_policy, string) result
-(** [""]/["adaptive"], ["analytic"] or a decimal fixed size. *)
-
-val scheme_of_spec : Protocol.job_spec -> (Ndp_core.Pipeline.scheme, string) result
-
-val config_of_spec : Protocol.job_spec -> (Ndp_sim.Config.t, string) result
-(** The default config with the spec's cluster and memory modes applied. *)
-
-val job_of_spec : Protocol.job_spec -> (Ndp_core.Pipeline.Job.t, string) result
-(** Resolves the kernel by suite name, cluster/memory/scheme/window by
-    their CLI spellings, and parses the fault spec (seeded by [fault_seed]
-    or the config's seed). A spec with no fault text and no seed yields
-    [faults = None]. *)
+    The one table that turns a request into a job. [ndp_run] builds a
+    {!Protocol.job_spec} from its flags and the daemon decodes one from
+    the wire; both resolve it here, so a flag and its wire spelling can
+    never mean different jobs. Every refusal is a {!field_error} naming
+    the spec field at fault; the CLI reports it as a usage error on the
+    matching flag, the daemon as an error body. *)
 
 type field_error = { field : string; reason : string }
-(** A request value the daemon refuses, naming the offending field. *)
+(** A request value that is refused, naming the offending field. *)
 
 val field_error_json : field_error -> Ndp_obs.Render.Json.t
 (** The error body: [{"error": "field F: REASON", "field": F}]. *)
+
+val scheme_of_spec : Protocol.job_spec -> (Ndp_core.Pipeline.scheme, field_error) result
+(** ["default"], ["partitioned"] or ["partitioned+fuse"] (alias
+    ["fused"]). The partitioned schemes read the spec's window:
+    [""]/["adaptive"], ["analytic"] or a decimal fixed size of at least
+    1; anything else is refused with field ["window"]. *)
+
+val config_of_spec : Protocol.job_spec -> (Ndp_sim.Config.t, field_error) result
+(** The default config with the spec's cluster and memory modes applied. *)
+
+val job_of_spec : Protocol.job_spec -> (Ndp_core.Pipeline.Job.t, field_error) result
+(** Resolves the kernel by suite name (field ["app"]), then
+    cluster/memory, scheme/window, and parses the fault spec (field
+    ["faults"]) seeded by [fault_seed] or the config's seed. A spec with
+    no fault text and no seed yields [faults = None]. *)
 
 val variant_patch :
   Protocol.variant -> (Ndp_sim.Config.t -> Ndp_sim.Config.t, field_error) result
@@ -158,5 +167,7 @@ val inject :
   spec:string ->
   Ndp_core.Pipeline.Job.t ->
   inject_outcome
-(** Runs the job under its fault plan (an empty plan when the job carries
-    none); [spec] is echoed into the document's plan description. *)
+(** Runs the job under its fault plan — when the job carries none, an
+    empty plan seeded with the config's seed, the seed an empty
+    [--faults] spec resolves to — and echoes [spec] into the document's
+    plan description. *)

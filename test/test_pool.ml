@@ -74,7 +74,7 @@ let suite_determinism () =
   let schemes = [ P.Default; P.Partitioned P.partitioned_defaults ] in
   let cells = List.concat_map (fun k -> List.map (fun s -> (k, s)) schemes) kernels in
   Pool.with_pool ~jobs:4 (fun pool ->
-      let run_cell (k, s) = P.run ~pool s k in
+      let run_cell (k, s) = P.Job.run ~pool (P.Job.make s k) in
       let par = Pool.parallel_map pool run_cell cells in
       let ser = Pool.run_serially (fun () -> List.map run_cell cells) in
       List.iter2

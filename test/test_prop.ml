@@ -326,9 +326,11 @@ let empty_plan_is_identity () =
         Pipeline.Partitioned
           { Pipeline.partitioned_defaults with Pipeline.window = Pipeline.Fixed 2 }
       in
-      let plain = Pipeline.run scheme kernel in
+      let plain = Pipeline.Job.run (Pipeline.Job.make scheme kernel) in
       let mesh = Ndp_sim.Config.mesh Ndp_sim.Config.default in
-      let faulted = Pipeline.run ~faults:(Plan.empty ~mesh) ~repair:true scheme kernel in
+      let faulted =
+        Pipeline.Job.run (Pipeline.Job.make ~faults:(Plan.empty ~mesh) ~repair:true scheme kernel)
+      in
       if plain.Pipeline.exec_time <> faulted.Pipeline.exec_time then
         Error
           (Printf.sprintf "exec_time diverged: %d plain vs %d with empty plan"
@@ -450,7 +452,7 @@ let analyze_reconciles_suite () =
         (fun scheme ->
           let table = Ndp_analysis.Cost.table ~scheme kernel in
           let obs = Ndp_obs.Sink.create ~metrics:false ~trace:false ~ledger:true () in
-          let _ = Pipeline.run ~obs scheme kernel in
+          let _ = Pipeline.Job.run ~obs (Pipeline.Job.make scheme kernel) in
           let measured = Ndp_obs.Ledger.total_flit_hops obs.Ndp_obs.Sink.ledger in
           let ratio = divergence ~static:table.Ndp_analysis.Cost.total_flit_hops ~measured in
           if ratio > threshold then
@@ -694,15 +696,16 @@ let capacity_zero_is_identity () =
           ()
       in
       let run fuse =
-        Pipeline.run
-          (Pipeline.Partitioned
-             {
-               Pipeline.partitioned_defaults with
-               Pipeline.window = Pipeline.Fixed 4;
-               fuse;
-               fuse_capacity = (if fuse then Some 0 else None);
-             })
-          kernel
+        Pipeline.Job.run
+          (Pipeline.Job.make
+             (Pipeline.Partitioned
+                {
+                  Pipeline.partitioned_defaults with
+                  Pipeline.window = Pipeline.Fixed 4;
+                  fuse;
+                  fuse_capacity = (if fuse then Some 0 else None);
+                })
+             kernel)
       in
       let plain = run false and fused = run true in
       if plain.Pipeline.exec_time <> fused.Pipeline.exec_time then

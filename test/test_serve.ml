@@ -341,19 +341,38 @@ let sweep_reuses_schedule () =
       let sf = Server.handle fresh sweep in
       Alcotest.(check string) "cold sweep body identical" s1.Server.body sf.Server.body)
 
+(* One bad value per spec field the resolver reads: each is refused in
+   band, uncached, with a structured body naming that field. A window
+   below 1 is refused rather than clamped into an alias of w=1. *)
 let errors_reported_in_band () =
   let server = Server.create () in
   Fun.protect
     ~finally:(fun () -> Server.shutdown server)
     (fun () ->
-      let r =
-        Server.handle server
-          (Protocol.Run { spec = Protocol.default_spec ~app:"no-such-app"; metrics = false })
-      in
-      Alcotest.(check bool) "error reply not ok" false r.Server.ok;
-      Alcotest.(check bool) "error reply uncached" false r.Server.cached;
-      let is_sub = Astring.String.is_infix ~affix:"error" r.Server.body in
-      Alcotest.(check bool) "body carries an error document" true is_sub)
+      let spec = Protocol.default_spec ~app:"fft" in
+      List.iter
+        (fun (field, bad) ->
+          let r = Server.handle server (Protocol.Run { spec = bad; metrics = false }) in
+          let ctx = Printf.sprintf "%s (%s)" field r.Server.body in
+          Alcotest.(check bool) (ctx ^ ": error reply not ok") false r.Server.ok;
+          Alcotest.(check bool) (ctx ^ ": error reply uncached") false r.Server.cached;
+          match RJ.parse r.Server.body with
+          | Ok doc ->
+            Alcotest.(check bool) (ctx ^ ": body carries an error") true
+              (Option.is_some (RJ.member "error" doc));
+            Alcotest.(check bool) (ctx ^ ": names the field") true
+              (RJ.member "field" doc = Some (RJ.Str field))
+          | Error m -> Alcotest.failf "%s: error body unparseable: %s" ctx m)
+        [
+          ("app", { spec with Protocol.app = "no-such-app" });
+          ("scheme", { spec with Protocol.scheme = "greedy" });
+          ("window", { spec with Protocol.window = "0" });
+          ("window", { spec with Protocol.window = "-3" });
+          ("window", { spec with Protocol.window = "x" });
+          ("cluster", { spec with Protocol.cluster = "torus" });
+          ("memory", { spec with Protocol.memory = "tape" });
+          ("faults", { spec with Protocol.faults = "bogus=1" });
+        ])
 
 (* A sweep override the simulator cannot run is refused before anything
    compiles, with a structured error naming the field — never raw
