@@ -17,7 +17,10 @@
 # decision table must show a real >=15% measured flit-hop reduction on
 # the residual-block chain workload), the end-to-end benchmark's
 # self-tests (`perfbench/run.py --self-test`: cheap and untimed — it
-# checks the harness, it does not measure), then the static analysis suite
+# checks the harness, it does not measure), the allocation ratchet (a
+# short end-to-end suite run must fail no request and allocate no more
+# words per request than the ceiling written below), then the static
+# analysis suite
 # (IR lint + schedule race detection over all 14 workloads under the
 # default, partitioned, and fused partitioned schemes — the fused
 # schedules are race-validated over the whole suite here). Every phase
@@ -329,6 +332,36 @@ perfbench_selftest_gate() (
   fi
 )
 
+alloc_ratchet_gate() (
+  # A one-second end-to-end run of the benchmark's suite workload on the
+  # working tree. Allocated words are exact and repeat from run to run
+  # (to ~0.01%), unlike wall time, so this gate is tight: it fails when
+  # any request fails, or when words per request exceed the ceiling —
+  # the last measured value (5.368 Mwords per request, suite, seed 1)
+  # plus 1%. A change that cuts allocation should lower the ceiling.
+  set -e
+  command -v python3 >/dev/null 2>&1 || exit 0
+  _ceiling=5.42
+  _res=$(mktemp /tmp/ndp_alloc.XXXXXX.txt)
+  _log=$(mktemp /tmp/ndp_alloc_log.XXXXXX.txt)
+  if ! python3 perfbench/run.py --workload suite --seed 1 --seconds 1 --trace 0 >"$_res" 2>"$_log"; then
+    cat "$_log" >&2
+    rm -f "$_res" "$_log"
+    exit 1
+  fi
+  python3 - "$_res" "$_ceiling" <<'PY'
+import json, sys
+d = json.loads(open(sys.argv[1]).read().strip().splitlines()[-1])
+ceiling = float(sys.argv[2])
+words = d['metrics']['alloc_mwords_per_req']['value']
+assert d['failed'] == 0, '%d of %d requests failed' % (d['failed'], d['attempted'])
+assert words <= ceiling, \
+    'alloc_mwords_per_req %.4f is above the ceiling %.4f' % (words, ceiling)
+print('alloc_mwords_per_req %.4f (ceiling %.4f)' % (words, ceiling))
+PY
+  rm -f "$_res" "$_log"
+)
+
 phase build dune build
 phase runtest dune runtest
 phase obs obs_gate
@@ -340,6 +373,7 @@ phase telemetry telemetry_gate
 phase bench-sentinel bench_sentinel_gate
 phase fusion fusion_gate
 phase perfbench-selftest perfbench_selftest_gate
+phase alloc-ratchet alloc_ratchet_gate
 phase check dune exec bin/ndp_run.exe -- check --fuse --jobs "$jobs"
 
 if [ -n "$failures" ]; then

@@ -146,7 +146,7 @@ let compile_instance (ctx : Context.t) ~group ~node (inst : Ndp_ir.Dependence.in
   Task.make
     ~id:(Context.fresh_task_id ctx)
     ~group ~node
-    ~ops:(Ndp_ir.Expr.ops stmt.Ndp_ir.Stmt.rhs)
+    ~ops:(Ndp_ir.Stmt.ops stmt)
     ~operands ?store
     ~label:("g" ^ string_of_int group ^ ":default")
     ()

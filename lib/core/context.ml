@@ -15,6 +15,17 @@ let default_options (config : Ndp_sim.Config.t) =
     ideal_location = false;
   }
 
+(* [Location.t]; declared here so the splitter's scratch table can be
+   a field of the context. *)
+type location = {
+  ref_ : Ndp_ir.Reference.t;
+  node : int;
+  in_l1 : bool;
+  predicted_hit : bool option;
+  va : int option;
+  bytes : int;
+}
+
 type t = {
   machine : Ndp_sim.Machine.t;
   config : Ndp_sim.Config.t;
@@ -25,6 +36,8 @@ type t = {
   decls : Ndp_ir.Array_decl.t array; (* [arrays] staged for scanning *)
   scratch_guf : Ndp_graph.Union_find.t; (* splitter scratch, mesh-sized *)
   mutable scratch_mst : Ndp_graph.Union_find.t; (* splitter scratch, grown on demand *)
+  scratch_items : (int, location list) Hashtbl.t; (* splitter scratch, node -> items *)
+  mutable scratch_cands : int array; (* splitter scratch, per-level MST candidates *)
   loads : int array;
   mutable loads_total : int; (* running sum of [loads], for [balanced] *)
   var2node : (int, int * int) Hashtbl.t; (* line -> node, statement stamp *)
@@ -36,6 +49,11 @@ type t = {
   mutable remapped_tasks : int;
   options : options;
 }
+
+(* The size a fresh per-call table had: [Hashtbl.reset] returns the
+   scratch table to it, so [Hashtbl.fold] visits nodes in the same order a
+   fresh table would. *)
+let scratch_items_size = 8
 
 let create ~machine ~compiler_resolve ~runtime_resolve ~arrays ?repair ~options () =
   let config = Ndp_sim.Machine.config machine in
@@ -52,6 +70,8 @@ let create ~machine ~compiler_resolve ~runtime_resolve ~arrays ?repair ~options 
     decls = Array.of_list arrays;
     scratch_guf = Ndp_graph.Union_find.create (Ndp_noc.Mesh.size (Ndp_sim.Machine.mesh machine));
     scratch_mst = Ndp_graph.Union_find.create 16;
+    scratch_items = Hashtbl.create scratch_items_size;
+    scratch_cands = [||];
     loads = Array.make (Ndp_noc.Mesh.size (Ndp_sim.Machine.mesh machine)) 0;
     loads_total = 0;
     var2node = Hashtbl.create 256;
@@ -100,11 +120,20 @@ let bytes_of t (r : Ndp_ir.Reference.t) =
   find 0
 
 (* Splitter scratch: one mesh-sized union-find reused across [split]
-   calls, plus a second grown on demand for the per-level MSTs. Forked
-   contexts get fresh instances, so pooled estimation never shares them. *)
+   calls, a second grown on demand for the per-level MSTs, the per-level
+   candidate array, and the node -> items table. Forked contexts get
+   fresh instances, so pooled estimation never shares them. *)
 let scratch_guf t =
   Ndp_graph.Union_find.reset t.scratch_guf;
   t.scratch_guf
+
+let scratch_items t =
+  Hashtbl.reset t.scratch_items;
+  t.scratch_items
+
+let scratch_cands t ~at_least =
+  if Array.length t.scratch_cands < at_least then t.scratch_cands <- Array.make at_least 0;
+  t.scratch_cands
 
 let scratch_mst t ~at_least =
   if Ndp_graph.Union_find.capacity t.scratch_mst < at_least then
@@ -163,6 +192,8 @@ let fork_for_estimate t =
     t with
     scratch_guf = Ndp_graph.Union_find.create (Ndp_graph.Union_find.capacity t.scratch_guf);
     scratch_mst = Ndp_graph.Union_find.create 16;
+    scratch_items = Hashtbl.create scratch_items_size;
+    scratch_cands = [||];
     loads = Array.copy t.loads;
     var2node = Hashtbl.copy t.var2node;
     var2node_fifo = Queue.copy t.var2node_fifo;

@@ -16,6 +16,17 @@ type options = {
 
 val default_options : Ndp_sim.Config.t -> options
 
+type location = {
+  ref_ : Ndp_ir.Reference.t;
+  node : int;
+  in_l1 : bool;
+  predicted_hit : bool option;
+  va : int option;
+  bytes : int;
+}
+(** {!Location.t}, declared here so the splitter's scratch table can be a
+    field of the context. *)
+
 type t = {
   machine : Ndp_sim.Machine.t;
   config : Ndp_sim.Config.t;
@@ -26,6 +37,8 @@ type t = {
   decls : Ndp_ir.Array_decl.t array; (** [arrays] staged for scanning *)
   scratch_guf : Ndp_graph.Union_find.t; (** splitter scratch, mesh-sized *)
   mutable scratch_mst : Ndp_graph.Union_find.t; (** splitter scratch, grown on demand *)
+  scratch_items : (int, location list) Hashtbl.t; (** splitter scratch, node -> items *)
+  mutable scratch_cands : int array; (** splitter scratch, per-level MST candidates *)
   loads : int array; (** accumulated op cost per node, for balancing *)
   mutable loads_total : int; (** running sum of [loads] *)
   var2node : (int, int * int) Hashtbl.t;
@@ -65,6 +78,16 @@ val bytes_of : t -> Ndp_ir.Reference.t -> int
 val scratch_guf : t -> Ndp_graph.Union_find.t
 (** The context's statement-global union-find scratch, reset to all
     singletons. Valid until the next [scratch_guf] call on this context. *)
+
+val scratch_items : t -> (int, location list) Hashtbl.t
+(** The splitter's node -> items table, emptied and shrunk back to its
+    initial size, so it folds in the order a fresh table would. Valid
+    until the next [scratch_items] call on this context. *)
+
+val scratch_cands : t -> at_least:int -> int array
+(** The splitter's candidate-edge array, grown to at least [at_least]
+    elements; its contents are stale. Valid until the next
+    [scratch_cands] call on this context. *)
 
 val scratch_mst : t -> at_least:int -> Ndp_graph.Union_find.t
 (** Per-MST union-find scratch with at least [at_least] elements, reset to

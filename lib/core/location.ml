@@ -1,4 +1,4 @@
-type t = {
+type t = Context.location = {
   ref_ : Ndp_ir.Reference.t;
   node : int;
   in_l1 : bool;

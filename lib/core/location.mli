@@ -8,7 +8,7 @@
     both when an earlier subcomputation in the window already fetched the
     line into some node's L1. *)
 
-type t = {
+type t = Context.location = {
   ref_ : Ndp_ir.Reference.t;
   node : int; (** compile-time location on the mesh *)
   in_l1 : bool; (** found in the variable2node map *)

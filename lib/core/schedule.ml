@@ -13,7 +13,7 @@ type t = {
 (* What a child subtree hands to its parent: either a finished task whose
    result travels up, or a single data item the parent loads itself. *)
 type upward =
-  | From_task of { task : int; bytes : int }
+  | From_task of { task : int; bytes : int; level : int }
   | Deferred of Location.t
 
 let take k list =
@@ -85,191 +85,188 @@ let choose_exec_node (ctx : Context.t) ~pinned ~preferred ~alternatives ~ops_cos
         (List.hd priced) priced
   end
 
-let schedule (ctx : Context.t) ~group (split : Splitter.t) stmt env =
-  let all_ops = Ndp_ir.Expr.ops stmt.Ndp_ir.Stmt.rhs in
-  let ops_pool = ref all_ops in
-  let draw k =
-    let taken, rest = take k !ops_pool in
-    ops_pool := rest;
-    taken
+(* The state of one [schedule] call, in one record rather than a ref and
+   a closure per accumulator: this runs once per statement instance. *)
+type state = {
+  ctx : Context.t;
+  group : int;
+  split : Splitter.t;
+  env : Ndp_ir.Env.t;
+  mutable ops_pool : Ndp_ir.Op.t list;
+  mutable tasks : Task.t list; (* newest first *)
+  mutable levels : int list; (* the level of each task in [tasks] *)
+  mutable join_arcs : (int * int) list; (* newest first *)
+  mutable placements : (int * int) list;
+  mutable offload : Task.op_mix;
+}
+
+let draw st k =
+  let taken, rest = take k st.ops_pool in
+  st.ops_pool <- rest;
+  taken
+
+let rec items_at node = function
+  | [] -> []
+  | (n, locs) :: rest -> if n = node then locs else items_at node rest
+
+let rec note_placements st exec = function
+  | [] -> ()
+  | (loc : Location.t) :: rest ->
+    (match loc.Location.va with
+    | Some va -> st.placements <- (Location.line_of st.ctx va, exec) :: st.placements
+    | None -> ());
+    note_placements st exec rest
+
+let emit st ~node ~ops ~operands ~store ~label ~level ~bcost =
+  let id = Context.fresh_task_id st.ctx in
+  let task = Task.make ~id ~group:st.group ~node ~ops ~operands ?store ~label () in
+  st.tasks <- task :: st.tasks;
+  Context.add_load st.ctx ~node ~cost:(max 1 bcost);
+  if node <> st.split.Splitter.store_node then st.offload <- Task.mix_add st.offload task.Task.mix;
+  st.levels <- level :: st.levels;
+  task
+
+(* Degenerate case: the whole statement's data sits on one node. *)
+let single_node_schedule st node : t =
+  let ctx = st.ctx in
+  let locs = items_at node st.split.Splitter.items_at in
+  let operands = List.filter_map (load_operand ctx st.env) locs in
+  let final_ops = draw st (List.length st.ops_pool) in
+  let bcost = expected_occupancy ctx ~node ~ops_cost:(Task.cost_of_ops final_ops) ~items:locs in
+  let task =
+    emit st ~node ~ops:final_ops ~operands ~store:st.split.Splitter.store
+      ~label:("g" ^ string_of_int st.group ^ ":final")
+      ~level:1 ~bcost
   in
-  let items_of node =
-    Option.value (List.assoc_opt node split.Splitter.items_at) ~default:[]
+  note_placements st node locs;
+  {
+    tasks = List.rev st.tasks;
+    root_task = task.Task.id;
+    join_arcs = [];
+    parallelism = 1;
+    offload_mix = st.offload;
+    placements = st.placements;
+  }
+
+(* Schedule the subtree under [vertex], children first. [bytes] is the
+   size of a forwarded partial result: a single scalar, not a line. *)
+let rec visit st tree ~bytes vertex =
+  let ctx = st.ctx and env = st.env and split = st.split in
+  let children = Tree.children tree vertex in
+  let child_results = List.map (visit st tree ~bytes) children in
+  let locs = items_at vertex split.Splitter.items_at in
+  let is_root = vertex = split.Splitter.store_node in
+  let local_loads = List.filter_map (load_operand ctx env) locs in
+  let deferred_loads =
+    List.filter_map
+      (function Deferred loc -> load_operand ctx env loc | From_task _ -> None)
+      child_results
   in
-  let tasks = ref [] in
-  let join_arcs = ref [] in
-  let placements = ref [] in
-  let offload = ref Task.zero_mix in
-  (* Task ids drawn during this call are contiguous from [id_base], so the
-     per-task level table is a growable array instead of a hashtable. *)
-  let id_base = ctx.Context.next_task in
-  let levels = ref (Array.make 16 0) in
-  let set_level id l =
-    let i = id - id_base in
-    let a = !levels in
-    let a =
-      if i < Array.length a then a
-      else begin
-        let n = ref (Array.length a * 2) in
-        while i >= !n do
-          n := !n * 2
-        done;
-        let grown = Array.make !n 0 in
-        Array.blit a 0 grown 0 (Array.length a);
-        levels := grown;
-        grown
-      end
+  let deferred_locs =
+    List.filter_map (function Deferred loc -> Some loc | From_task _ -> None) child_results
+  in
+  let result_ops =
+    List.filter_map
+      (function
+        | From_task { task; bytes; level = _ } -> Some (Task.Result { producer = task; bytes })
+        | Deferred _ -> None)
+      child_results
+  in
+  let inputs = List.length local_loads + List.length deferred_loads + List.length result_ops in
+  (* Every item this vertex consumes, its own first. *)
+  let consumed = match deferred_locs with [] -> locs | _ -> locs @ deferred_locs in
+  if (not is_root) && inputs = 1 && result_ops = [] then begin
+    (* A lone data item: no computation here; the parent fetches it
+       directly (the leaf-node case of the MST walk). *)
+    match consumed with
+    | [ loc ] -> Deferred loc
+    | _ -> assert false
+  end
+  else begin
+    let ops = if is_root then draw st (List.length st.ops_pool) else draw st (max 0 (inputs - 1)) in
+    let alternatives =
+      (* "Skips this node and moves to the next one" (4.5): the result
+         travels toward the parent anyway, so every node on the mesh
+         route to the parent can host the combine without adding a
+         single link of movement; the children are equally free. *)
+      match Tree.parent tree vertex with
+      | None -> List.sort_uniq compare children
+      | Some parent ->
+        (* The shared per-mesh route table; same node sequence
+           [xy_route] yields, with no per-visit route allocation. *)
+        let nodes = Ndp_noc.Mesh.route_nodes (Context.mesh ctx) ~src:vertex ~dst:parent in
+        List.sort_uniq compare (Array.fold_right (fun n acc -> n :: acc) nodes children)
     in
-    a.(i) <- l
-  in
-  let level_of id =
-    let i = id - id_base in
-    let a = !levels in
-    if i >= 0 && i < Array.length a then a.(i) else 0
-  in
-  let note_placement exec (loc : Location.t) =
-    match loc.Location.va with
-    | Some va -> placements := (Location.line_of ctx va, exec) :: !placements
-    | None -> ()
-  in
-  let emit ~node ~ops ~operands ~store ~label ~level ~bcost =
-    let id = Context.fresh_task_id ctx in
-    let task = Task.make ~id ~group ~node ~ops ~operands ?store ~label () in
-    tasks := task :: !tasks;
-    Context.add_load ctx ~node ~cost:(max 1 bcost);
-    if node <> split.Splitter.store_node then offload := Task.mix_add !offload task.Task.mix;
-    set_level id level;
-    task
-  in
-  (* Degenerate case: the whole statement's data sits on one node. *)
-  let single_node_schedule node =
-    let locs = items_of node in
-    let operands = List.filter_map (load_operand ctx env) locs in
-    let final_ops = draw (List.length all_ops) in
-    let bcost =
-      expected_occupancy ctx ~node ~ops_cost:(Task.cost_of_ops final_ops) ~items:locs
+    let exec, bcost =
+      choose_exec_node ctx ~pinned:is_root ~preferred:vertex ~alternatives
+        ~ops_cost:(Task.cost_of_ops ops) ~items:consumed
     in
-    let task =
-      emit ~node ~ops:final_ops ~operands ~store:split.Splitter.store
-        ~label:("g" ^ string_of_int group ^ ":final")
-        ~level:1 ~bcost
+    let level =
+      let producer_level acc = function
+        | From_task { level; _ } -> max acc level
+        | Deferred _ -> acc
+      in
+      1 + List.fold_left producer_level 0 child_results
     in
-    List.iter (note_placement node) locs;
+    let operands = local_loads @ deferred_loads @ result_ops in
+    let store = if is_root then split.Splitter.store else None in
+    let label =
+      if is_root then "g" ^ string_of_int st.group ^ ":final"
+      else "g" ^ string_of_int st.group ^ ":sub@" ^ string_of_int exec
+    in
+    let task = emit st ~node:exec ~ops ~operands ~store ~label ~level ~bcost in
+    note_placements st exec consumed;
+    if List.length result_ops >= 2 then
+      List.iter
+        (function
+          | Task.Result { producer; bytes = _ } ->
+            st.join_arcs <- (producer, task.Task.id) :: st.join_arcs
+          | Task.Load _ -> ())
+        result_ops;
+    From_task { task = task.Task.id; bytes; level }
+  end
+
+let schedule (ctx : Context.t) ~group (split : Splitter.t) stmt env : t =
+  let st =
     {
-      tasks = List.rev !tasks;
-      root_task = task.Task.id;
+      ctx;
+      group;
+      split;
+      env;
+      ops_pool = Ndp_ir.Stmt.ops stmt;
+      tasks = [];
+      levels = [];
       join_arcs = [];
-      parallelism = 1;
-      offload_mix = !offload;
-      placements = !placements;
+      placements = [];
+      offload = Task.zero_mix;
     }
   in
-  if split.Splitter.edges = [] then single_node_schedule split.Splitter.store_node
+  if split.Splitter.edges = [] then single_node_schedule st split.Splitter.store_node
   else begin
     let tree = Tree.of_edges ~root:split.Splitter.store_node split.Splitter.edges in
-    let rec visit vertex =
-      let children = Tree.children tree vertex in
-      let child_results = List.map visit children in
-      let locs = items_of vertex in
-      let is_root = vertex = split.Splitter.store_node in
-      let local_loads = List.filter_map (load_operand ctx env) locs in
-      let deferred_loads =
-        List.filter_map
-          (function Deferred loc -> load_operand ctx env loc | From_task _ -> None)
-          child_results
-      in
-      let deferred_locs =
-        List.filter_map
-          (function Deferred loc -> Some loc | From_task _ -> None)
-          child_results
-      in
-      let result_ops =
-        List.filter_map
-          (function
-            | From_task { task; bytes } -> Some (Task.Result { producer = task; bytes })
-            | Deferred _ -> None)
-          child_results
-      in
-      let inputs = List.length local_loads + List.length deferred_loads + List.length result_ops in
-      if (not is_root) && inputs = 1 && result_ops = [] then begin
-        (* A lone data item: no computation here; the parent fetches it
-           directly (the leaf-node case of the MST walk). *)
-        match locs @ deferred_locs with
-        | [ loc ] -> Deferred loc
-        | _ -> assert false
-      end
-      else begin
-        let ops = if is_root then draw (List.length !ops_pool) else draw (max 0 (inputs - 1)) in
-        let alternatives =
-          (* "Skips this node and moves to the next one" (4.5): the result
-             travels toward the parent anyway, so every node on the mesh
-             route to the parent can host the combine without adding a
-             single link of movement; the children are equally free. *)
-          match Tree.parent tree vertex with
-          | None -> List.sort_uniq compare children
-          | Some parent ->
-            (* The shared per-mesh route table; same node sequence
-               [xy_route] yields, with no per-visit route allocation. *)
-            let nodes = Ndp_noc.Mesh.route_nodes (Context.mesh ctx) ~src:vertex ~dst:parent in
-            List.sort_uniq compare (Array.fold_right (fun n acc -> n :: acc) nodes children)
-        in
-        let exec, bcost =
-          choose_exec_node ctx ~pinned:is_root ~preferred:vertex ~alternatives
-            ~ops_cost:(Task.cost_of_ops ops) ~items:(locs @ deferred_locs)
-        in
-        let level =
-          let producer_level = function
-            | Task.Result { producer; bytes = _ } -> level_of producer
-            | Task.Load _ -> 0
-          in
-          1 + List.fold_left (fun acc op -> max acc (producer_level op)) 0 result_ops
-        in
-        let operands = local_loads @ deferred_loads @ result_ops in
-        let store = if is_root then split.Splitter.store else None in
-        let label =
-          if is_root then "g" ^ string_of_int group ^ ":final"
-          else "g" ^ string_of_int group ^ ":sub@" ^ string_of_int exec
-        in
-        let task = emit ~node:exec ~ops ~operands ~store ~label ~level ~bcost in
-        List.iter (note_placement exec) (locs @ deferred_locs);
-        if List.length result_ops >= 2 then
-          List.iter
-            (function
-              | Task.Result { producer; bytes = _ } -> join_arcs := (producer, task.Task.id) :: !join_arcs
-              | Task.Load _ -> ())
-            result_ops;
-        (* A forwarded partial result is a single scalar, not a line. *)
-        From_task { task = task.Task.id; bytes = Context.bytes_of ctx stmt.Ndp_ir.Stmt.lhs }
-      end
-    in
-    (match visit split.Splitter.store_node with
+    let bytes = Context.bytes_of ctx stmt.Ndp_ir.Stmt.lhs in
+    (match visit st tree ~bytes split.Splitter.store_node with
     | From_task _ -> ()
     | Deferred _ -> assert false);
-    let tasks = List.rev !tasks in
+    (* The root combine is emitted last. *)
     let root_task =
-      match List.rev tasks with
+      match st.tasks with
       | last :: _ -> last.Task.id
       | [] -> assert false
     in
     let parallelism =
-      let max_level =
-        List.fold_left (fun acc (t : Task.t) -> max acc (level_of t.Task.id)) 1 tasks
-      in
+      let max_level = List.fold_left max 1 st.levels in
       let counts = Array.make (max_level + 1) 0 in
-      List.iter
-        (fun (t : Task.t) ->
-          let l = level_of t.Task.id in
-          counts.(l) <- counts.(l) + 1)
-        tasks;
+      List.iter (fun l -> counts.(l) <- counts.(l) + 1) st.levels;
       Array.fold_left max 1 counts
     in
     {
-      tasks;
+      tasks = List.rev st.tasks;
       root_task;
-      join_arcs = List.rev !join_arcs;
+      join_arcs = List.rev st.join_arcs;
       parallelism;
-      offload_mix = !offload;
-      placements = !placements;
+      offload_mix = st.offload;
+      placements = st.placements;
     }
   end
 
@@ -281,7 +278,7 @@ let schedule (ctx : Context.t) ~group (split : Splitter.t) stmt env =
    plan, so repaired schedules are identical across [--jobs] values. Must
    run before [Window.compile] derives cross-node arcs, so the sync
    structure is computed against the repaired placement. *)
-let repair (ctx : Context.t) sched =
+let repair (ctx : Context.t) (sched : t) =
   match ctx.Context.repair with
   | None -> sched
   | Some plan ->

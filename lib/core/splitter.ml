@@ -16,15 +16,32 @@ type t = {
    the physical nodes its data occupies. *)
 type component = { members : int list }
 
-let min_pair ctx a b =
-  let best (bu, bv, bw) u v =
+(* The first minimum-distance pair (u, v), u over [us] and v over [vs],
+   lands in [best]; no closure or ref per component pair. *)
+type best = { mutable bu : int; mutable bv : int; mutable bw : int }
+
+let rec min_pair_into ctx best us vs =
+  match us with
+  | [] -> ()
+  | u :: us ->
+    min_pair_from ctx best u vs;
+    min_pair_into ctx best us vs
+
+and min_pair_from ctx best u = function
+  | [] -> ()
+  | v :: vs ->
     let w = Context.distance ctx u v in
-    if w < bw then (u, v, w) else (bu, bv, bw)
-  in
-  List.fold_left
-    (fun acc u -> List.fold_left (fun acc v -> best acc u v) acc b.members)
-    (-1, -1, max_int)
-    a.members
+    if w < best.bw then begin
+      best.bu <- u;
+      best.bv <- v;
+      best.bw <- w
+    end;
+    min_pair_from ctx best u vs
+
+let min_pair ctx a b =
+  let best = { bu = -1; bv = -1; bw = max_int } in
+  min_pair_into ctx best a.members b.members;
+  (best.bu, best.bv, best.bw)
 
 (* Kruskal over components: the candidate edge between two components is
    the concrete minimum-distance pair of member nodes ([Context.distance],
@@ -65,6 +82,19 @@ let mst_over_generic ctx ~guf ~uf components =
    route cost. The generic path remains for anything larger. *)
 let field_mask = 0x3f
 
+(* Insertion sort of [a.(0 .. len-1)]: a level has a few dozen candidates
+   at most, and the scratch array past [len] holds stale entries. *)
+let sort_prefix (a : int array) len =
+  for i = 1 to len - 1 do
+    let x = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && a.(!j) > x do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- x
+  done
+
 let mst_over ctx ~guf components =
   let n = List.length components in
   if n <= 1 then []
@@ -72,61 +102,56 @@ let mst_over ctx ~guf components =
     mst_over_generic ctx ~guf ~uf:(Ndp_graph.Union_find.create n) components
   else begin
     let arr = Array.of_list components in
-    let cands = Array.make (n * (n - 1) / 2) 0 in
+    let best = { bu = -1; bv = -1; bw = max_int } in
+    let cands = Context.scratch_cands ctx ~at_least:(n * (n - 1) / 2) in
     let k = ref 0 in
     let overflow = ref false in
     for i = 0 to n - 1 do
       for j = i + 1 to n - 1 do
-        let bu = ref (-1) and bv = ref (-1) and bw = ref max_int in
-        List.iter
-          (fun u ->
-            List.iter
-              (fun v ->
-                let w = Context.distance ctx u v in
-                if w < !bw then begin
-                  bu := u;
-                  bv := v;
-                  bw := w
-                end)
-              arr.(j).members)
-          arr.(i).members;
-        if !bw lsr 38 <> 0 then overflow := true;
-        cands.(!k) <- (((((!bw lsl 6) lor i) lsl 6) lor j) lsl 12) lor (!bu lsl 6) lor !bv;
+        best.bu <- -1;
+        best.bv <- -1;
+        best.bw <- max_int;
+        min_pair_into ctx best arr.(i).members arr.(j).members;
+        if best.bw lsr 38 <> 0 then overflow := true;
+        cands.(!k) <-
+          (((((best.bw lsl 6) lor i) lsl 6) lor j) lsl 12) lor (best.bu lsl 6) lor best.bv;
         incr k
       done
     done;
     if !overflow then mst_over_generic ctx ~guf ~uf:(Ndp_graph.Union_find.create n) components
     else begin
-      Array.sort (fun (a : int) b -> compare a b) cands;
+      sort_prefix cands !k;
       let uf = Context.scratch_mst ctx ~at_least:n in
       let edges = ref [] in
-      Array.iter
-        (fun packed ->
-          let v = packed land field_mask in
-          let u = (packed lsr 6) land field_mask in
-          let j = (packed lsr 12) land field_mask in
-          let i = (packed lsr 18) land field_mask in
-          let w = packed lsr 24 in
-          if Ndp_graph.Union_find.union uf i j then
-            if not (w = 0 || not (Ndp_graph.Union_find.union guf u v)) then
-              edges := { Kruskal.u; v; weight = w } :: !edges)
-        cands;
+      for c = 0 to !k - 1 do
+        let packed = cands.(c) in
+        let v = packed land field_mask in
+        let u = (packed lsr 6) land field_mask in
+        let j = (packed lsr 12) land field_mask in
+        let i = (packed lsr 18) land field_mask in
+        let w = packed lsr 24 in
+        if Ndp_graph.Union_find.union uf i j then
+          if not (w = 0 || not (Ndp_graph.Union_find.union guf u v)) then
+            edges := { Kruskal.u; v; weight = w } :: !edges
+      done;
       !edges
     end
   end
 
-let flat_refs stmt = Ndp_ir.Stmt.inputs stmt
+let is_singleton n = function [ m ] -> m = n | _ -> false
 
 let split (ctx : Context.t) ~store_node stmt env =
   let mesh = Context.mesh ctx in
-  let items : (int, Location.t list) Hashtbl.t = Hashtbl.create 8 in
+  let items = Context.scratch_items ctx in
   let predictions = ref [] in
   let locate_item r =
     let loc = Location.locate ctx ~store_node r env in
     (match (loc.Location.predicted_hit, loc.Location.va) with
     | Some p, Some va -> predictions := (va, p) :: !predictions
     | _ -> ());
-    let cur = Option.value (Hashtbl.find_opt items loc.Location.node) ~default:[] in
+    let cur =
+      match Hashtbl.find items loc.Location.node with l -> l | exception Not_found -> []
+    in
     Hashtbl.replace items loc.Location.node (loc :: cur);
     loc
   in
@@ -140,37 +165,31 @@ let split (ctx : Context.t) ~store_node stmt env =
      then connect the level's components with an MST. Returns the member
      node set of the completed level. *)
   let rec process_level ?(extra = []) (set : Ndp_ir.Nested_set.t) =
-    let component_of_item = function
-      | Ndp_ir.Nested_set.Ref r ->
-        let loc = locate_item r in
-        Some { members = [ loc.Location.node ] }
-      | Ndp_ir.Nested_set.Const _ -> None
-      | Ndp_ir.Nested_set.Sub s -> Some { members = process_level s }
+    (* The level's components in reverse order, identical singleton
+       vertices deduplicated (Algorithm 1, line 12). *)
+    let add acc members =
+      match members with
+      | [ n ] when List.exists (fun c -> is_singleton n c.members) acc -> acc
+      | _ -> { members } :: acc
     in
-    let components =
-      List.filter_map component_of_item set.Ndp_ir.Nested_set.items
-      @ List.map (fun n -> { members = [ n ] }) extra
+    let add_item acc = function
+      | Ndp_ir.Nested_set.Ref r -> add acc [ (locate_item r).Location.node ]
+      | Ndp_ir.Nested_set.Const _ -> acc
+      | Ndp_ir.Nested_set.Sub s -> add acc (process_level s)
     in
-    (* Deduplicate identical singleton vertices (Algorithm 1, line 12). *)
-    let components =
-      List.fold_left
-        (fun acc c ->
-          match c.members with
-          | [ n ] when List.exists (fun c' -> c'.members = [ n ]) acc -> acc
-          | _ -> c :: acc)
-        [] components
-    in
+    let components = List.fold_left add_item [] set.Ndp_ir.Nested_set.items in
+    let components = List.fold_left (fun acc n -> add acc [ n ]) components extra in
     edges := mst_over ctx ~guf components @ !edges;
-    List.sort_uniq compare (List.concat_map (fun c -> c.members) components)
+    List.sort_uniq Int.compare (List.concat_map (fun c -> c.members) components)
   in
   let set =
-    if ctx.options.Context.level_based then Ndp_ir.Nested_set.of_expr stmt.Ndp_ir.Stmt.rhs
+    if ctx.options.Context.level_based then Ndp_ir.Stmt.nested stmt
     else
       (* Ablation: ignore priority levels, flattening all references. *)
       {
         Ndp_ir.Nested_set.items =
-          List.map (fun r -> Ndp_ir.Nested_set.Ref r) (flat_refs stmt);
-        level_ops = Ndp_ir.Expr.ops stmt.Ndp_ir.Stmt.rhs;
+          List.map (fun r -> Ndp_ir.Nested_set.Ref r) (Ndp_ir.Stmt.inputs stmt);
+        level_ops = Ndp_ir.Stmt.ops stmt;
         reassociable = true;
       }
   in

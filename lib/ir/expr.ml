@@ -4,16 +4,26 @@ type t =
   | Binop of Op.t * t * t
   | Group of t
 
-let rec refs = function
-  | Const _ -> []
-  | Ref r -> [ r ]
-  | Binop (_, a, b) -> refs a @ refs b
-  | Group e -> refs e
+(* Both walk right to left onto an accumulator, so each list is built
+   once, left-to-right, without [@] copies. *)
+let refs e =
+  let rec go e acc =
+    match e with
+    | Const _ -> acc
+    | Ref r -> r :: acc
+    | Binop (_, a, b) -> go a (go b acc)
+    | Group e -> go e acc
+  in
+  go e []
 
-let rec ops = function
-  | Const _ | Ref _ -> []
-  | Binop (op, a, b) -> ops a @ [ op ] @ ops b
-  | Group e -> ops e
+let ops e =
+  let rec go e acc =
+    match e with
+    | Const _ | Ref _ -> acc
+    | Binop (op, a, b) -> go a (op :: go b acc)
+    | Group e -> go e acc
+  in
+  go e []
 
 let op_count e = List.length (ops e)
 

@@ -17,21 +17,22 @@ let rec of_expr expr =
   | Expr.Ref r -> { items = [ Ref r ]; level_ops = []; reassociable = true }
   | Expr.Group e -> of_expr e
   | Expr.Binop _ ->
-    let rec flatten e =
+    (* The level's items and operators prepended onto [items]/[ops],
+       walking right to left so both come out left-to-right. *)
+    let rec flatten e items ops =
       match e with
       | Expr.Binop (op', a, b) ->
-        let items_a, ops_a = flatten a in
-        let items_b, ops_b = flatten b in
-        (items_a @ items_b, ops_a @ [ op' ] @ ops_b)
-      | Expr.Const c -> ([ Const c ], [])
-      | Expr.Ref r -> ([ Ref r ], [])
+        let items, ops = flatten b items ops in
+        flatten a items (op' :: ops)
+      | Expr.Const c -> (Const c :: items, ops)
+      | Expr.Ref r -> (Ref r :: items, ops)
       | Expr.Group inner -> (
         let sub = of_expr inner in
         match sub.items with
-        | [ single ] when sub.level_ops = [] -> ([ single ], [])
-        | _ -> ([ Sub sub ], []))
+        | [ single ] when sub.level_ops = [] -> (single :: items, ops)
+        | _ -> (Sub sub :: items, ops))
     in
-    let items, level_ops = flatten expr in
+    let items, level_ops = flatten expr [] [] in
     let reassociable = List.for_all Op.commutative_associative level_ops in
     { items; level_ops; reassociable }
 

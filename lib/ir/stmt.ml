@@ -1,8 +1,21 @@
-type t = { lhs : Reference.t; rhs : Expr.t }
+type t = {
+  lhs : Reference.t;
+  rhs : Expr.t;
+  inputs : Reference.t list;
+  ops : Op.t list;
+  nested : Nested_set.t;
+}
 
-let make lhs rhs = { lhs; rhs }
+(* The shape fields depend only on [rhs], so they are derived once here
+   rather than on every statement instance the compiler visits. *)
+let make lhs rhs =
+  { lhs; rhs; inputs = Expr.refs rhs; ops = Expr.ops rhs; nested = Nested_set.of_expr rhs }
 
-let inputs t = Expr.refs t.rhs
+let inputs t = t.inputs
+
+let ops t = t.ops
+
+let nested t = t.nested
 
 let output t = t.lhs
 

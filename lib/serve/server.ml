@@ -78,18 +78,21 @@ let error msg = reply_of ~ok:false ~cached:false ~key:"" (body (Json.Obj [ ("err
 
 let field_error e = reply_of ~ok:false ~cached:false ~key:"" (body (Service.field_error_json e))
 
-(* Resolve the spec, derive the content key from the *resolved* job (so
-   spellings that mean the same job — e.g. window "adaptive" vs "" —
-   share a cache line), then serve from the result cache. The cache
-   stores rendered body strings: a hit returns the stored bytes verbatim,
-   which is what makes cached and uncached responses byte-identical. *)
+(* Serve a resolved job from the result cache, keyed by the *resolved*
+   job (so spellings that mean the same job — e.g. window "adaptive" vs
+   "" — share a cache line). The cache stores rendered body strings: a
+   hit returns the stored bytes verbatim, which is what makes cached and
+   uncached responses byte-identical. *)
+let cached t job ~salt render =
+  let key = Key.digest (salt ^ "#" ^ Key.job job) in
+  let b, hit = Cache.find_or_add t.results key (fun () -> render job) in
+  reply_of ~ok:true ~cached:hit ~key b
+
+(* Resolve the spec, then serve it through [cached]. *)
 let cacheable t spec ~salt render =
   match Service.job_of_spec spec with
   | Error e -> field_error e
-  | Ok job ->
-    let key = Key.digest (salt ^ "#" ^ Key.job job) in
-    let b, hit = Cache.find_or_add t.results key (fun () -> render job) in
-    reply_of ~ok:true ~cached:hit ~key b
+  | Ok job -> cached t job ~salt render
 
 (* The schedule cache is keyed by the compile inputs alone (capture forced
    on), so a Compile and every Sweep over the same job share one entry. *)
@@ -259,22 +262,28 @@ let handle t (req : Protocol.request) =
       | Protocol.Compile spec ->
         cacheable t spec ~salt:"compile" (fun job -> compile_body t ~spans job)
       | Protocol.Sweep { spec; variants } -> (
-        (* Variants are resolved before anything compiles, so a bad
-           override is refused at the boundary, naming its field. *)
-        let patches =
-          List.fold_left
-            (fun acc v ->
-              Result.bind acc (fun ps ->
-                  Result.map (fun p -> (v, p) :: ps) (Service.variant_patch v)))
-            (Ok []) variants
-          |> Result.map List.rev
-        in
-        match patches with
+        (* The spec and then every variant are resolved before anything
+           compiles, so a bad override or tweak is refused at the
+           boundary, naming its field. *)
+        match Service.job_of_spec spec with
         | Error e -> field_error e
-        | Ok resolved ->
-          cacheable t spec
-            ~salt:("sweep:" ^ variants_salt variants)
-            (fun job -> sweep_body t ~spans job resolved))
+        | Ok job -> (
+          let patches =
+            List.fold_left
+              (fun acc v ->
+                Result.bind acc (fun ps ->
+                    Result.map
+                      (fun p -> (v, p) :: ps)
+                      (Service.variant_patch job.Pipeline.Job.config v)))
+              (Ok []) variants
+            |> Result.map List.rev
+          in
+          match patches with
+          | Error e -> field_error e
+          | Ok resolved ->
+            cached t job
+              ~salt:("sweep:" ^ variants_salt variants)
+              (fun job -> sweep_body t ~spans job resolved)))
       | Protocol.Batch specs -> (
         let jobs =
           List.fold_left

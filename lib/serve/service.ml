@@ -62,6 +62,34 @@ let config_of_spec (s : Protocol.job_spec) =
   let* memory = refuse "memory" (Config.memory_mode_of_string s.Protocol.memory) in
   Ok (Config.with_modes Config.default cluster memory)
 
+(* The counterfactual tweaks' valid ranges. Outside them the simulator
+   either raises from deep inside (a probability or factor outside [0,1],
+   an MC node off the mesh) or silently ignores the value (a cost scale
+   below 1 or non-finite, a negative sync count), which would run the
+   untweaked job under a cache key of its own. Each is refused here,
+   naming the tweak. *)
+let check_tweaks (config : Config.t) (tw : Pipeline.tweaks) =
+  let bad field fmt = Printf.ksprintf (fun reason -> Error { field; reason }) fmt in
+  let unit_interval field v =
+    if v >= 0.0 && v <= 1.0 then Ok () else bad field "must be in [0, 1], got %g" v
+  in
+  let* () = unit_interval "l1_boost" tw.Pipeline.l1_boost in
+  let* () = unit_interval "distance_factor" tw.Pipeline.distance_factor in
+  let* () =
+    let c = tw.Pipeline.cost_scale in
+    if Float.is_finite c && c >= 1.0 then Ok ()
+    else bad "cost_scale" "must be a finite number of at least 1, got %g" c
+  in
+  let* () =
+    let n = tw.Pipeline.extra_syncs in
+    if n >= 0 then Ok () else bad "extra_syncs" "must be at least 0, got %d" n
+  in
+  let nodes = config.Config.mesh_cols * config.Config.mesh_rows in
+  match List.find_opt (fun (_, mc) -> mc < 0 || mc >= nodes) tw.Pipeline.mc_overrides with
+  | None -> Ok ()
+  | Some (page, mc) ->
+    bad "mc_overrides" "page %d names node %d, which is not on the %d-node mesh" page mc nodes
+
 let job_of_spec (s : Protocol.job_spec) =
   match Ndp_workloads.Suite.find s.Protocol.app with
   | exception Not_found ->
@@ -69,6 +97,7 @@ let job_of_spec (s : Protocol.job_spec) =
   | kernel ->
     let* config = config_of_spec s in
     let* scheme = scheme_of_spec s in
+    let* () = check_tweaks config s.Protocol.tweaks in
     let* faults =
       if s.Protocol.faults = "" && s.Protocol.fault_seed = None then Ok None
       else
@@ -102,7 +131,8 @@ let overridable : (string * int * (Config.t -> int -> Config.t)) list =
     ("outstanding_loads", 1, fun c v -> { c with Config.outstanding_loads = v });
   ]
 
-let variant_patch (v : Protocol.variant) =
+let variant_patch config (v : Protocol.variant) =
+  let* () = check_tweaks config v.Protocol.v_tweaks in
   List.fold_left
     (fun acc (field, value) ->
       let* patch = acc in

@@ -32,13 +32,22 @@ val config_of_spec : Protocol.job_spec -> (Ndp_sim.Config.t, field_error) result
 
 val job_of_spec : Protocol.job_spec -> (Ndp_core.Pipeline.Job.t, field_error) result
 (** Resolves the kernel by suite name (field ["app"]), then
-    cluster/memory, scheme/window, and parses the fault spec (field
-    ["faults"]) seeded by [fault_seed] or the config's seed. A spec with
-    no fault text and no seed yields [faults = None]. *)
+    cluster/memory, scheme/window, checks the tweaks, and parses the
+    fault spec (field ["faults"]) seeded by [fault_seed] or the config's
+    seed. A spec with no fault text and no seed yields [faults = None].
+
+    Each tweak is refused outside its valid range, with the tweak's name
+    as the field: [l1_boost] and [distance_factor] must lie in [0, 1],
+    [cost_scale] must be finite and at least 1, [extra_syncs] at least
+    0, and every [mc_overrides] node must be on the config's mesh. *)
 
 val variant_patch :
-  Protocol.variant -> (Ndp_sim.Config.t -> Ndp_sim.Config.t, field_error) result
-(** Resolve a sweep variant's integer overrides into a config patch. Only
+  Ndp_sim.Config.t ->
+  Protocol.variant ->
+  (Ndp_sim.Config.t -> Ndp_sim.Config.t, field_error) result
+(** Resolve a sweep variant over the job's [config]: its tweaks are
+    checked as {!job_of_spec} checks a spec's, and its integer overrides
+    become a config patch. Only
     simulation-side knobs (hop/service/hit/miss/op/sync/load-issue cycles,
     outstanding loads) may be overridden — address-shape parameters must
     match the capture config for replay to be meaningful. Cycle counts

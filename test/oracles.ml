@@ -1,6 +1,8 @@
 (* Reference implementations the shipped libraries no longer carry: the
-   O(n^2) dependence analysis and the sampled window-size search that
-   compiles every candidate chunk from scratch. They are deliberately
+   O(n^2) dependence analysis, the sampled window-size search that
+   compiles every candidate chunk from scratch, the hashtable-based
+   rooted spanning tree, and the append-based expression walks. They are
+   deliberately
    naive — written from the definitions rather than shared with the code
    under test — so the equivalence tests check the optimized paths
    against an independent answer. *)
@@ -70,3 +72,118 @@ let choose_size_reanalyze (ctx : Context.t) metas ~max:max_size =
     end
   in
   best 1 1 max_int
+
+(* A rooted view of a spanning tree: adjacency, parent and child maps in
+   hashtables, filled by a BFS from the root that visits each vertex's
+   neighbours in ascending (vertex, weight) order. Same interface and
+   [Invalid_argument] messages as [Ndp_graph.Rooted_tree]. *)
+module Rooted_tree = struct
+  module Kruskal = Ndp_graph.Kruskal
+
+  type t = {
+    root : int;
+    parents : (int, int * int) Hashtbl.t; (* vertex -> parent, edge weight *)
+    childmap : (int, int list) Hashtbl.t;
+    order : int list; (* vertices in BFS order from the root *)
+  }
+
+  let of_edges ~root edges =
+    let adj = Hashtbl.create 16 in
+    let add u v w =
+      let cur = Option.value (Hashtbl.find_opt adj u) ~default:[] in
+      Hashtbl.replace adj u ((v, w) :: cur)
+    in
+    List.iter (fun (e : Kruskal.edge) -> add e.u e.v e.weight; add e.v e.u e.weight) edges;
+    let parents = Hashtbl.create 16 in
+    let childmap = Hashtbl.create 16 in
+    let visited = Hashtbl.create 16 in
+    Hashtbl.replace visited root ();
+    let order = ref [ root ] in
+    let queue = Queue.create () in
+    Queue.push root queue;
+    while not (Queue.is_empty queue) do
+      let u = Queue.pop queue in
+      let neighbors = Option.value (Hashtbl.find_opt adj u) ~default:[] in
+      let attach (v, w) =
+        if not (Hashtbl.mem visited v) then begin
+          Hashtbl.replace visited v ();
+          Hashtbl.replace parents v (u, w);
+          let cur = Option.value (Hashtbl.find_opt childmap u) ~default:[] in
+          Hashtbl.replace childmap u (v :: cur);
+          order := v :: !order;
+          Queue.push v queue
+        end
+        else
+          match Hashtbl.find_opt parents u with
+          | Some (p, _) when p = v -> ()
+          | _ when v = root && u <> root -> ()
+          | _ ->
+            (* A visited neighbor that is not our parent means a cycle. *)
+            if not (u = root && Hashtbl.mem parents v) then
+              invalid_arg "Rooted_tree.of_edges: edge set contains a cycle"
+      in
+      List.iter attach (List.sort compare neighbors)
+    done;
+    if Hashtbl.length visited <> List.length edges + 1 then
+      invalid_arg "Rooted_tree.of_edges: edge set is not a tree reaching the root";
+    { root; parents; childmap; order = List.rev !order }
+
+  let root t = t.root
+
+  let children t v = List.sort compare (Option.value (Hashtbl.find_opt t.childmap v) ~default:[])
+
+  let parent t v = Option.map fst (Hashtbl.find_opt t.parents v)
+
+  let vertices t = t.order
+
+  let edge_weight t v =
+    match Hashtbl.find_opt t.parents v with
+    | Some (_, w) -> w
+    | None -> invalid_arg "Rooted_tree.edge_weight: root has no parent edge"
+
+  let postorder t =
+    let rec walk v acc = v :: List.fold_right walk (children t v) acc in
+    List.rev (walk t.root [])
+end
+
+(* A right-hand side's references, operators and nested set, written
+   straight from their definitions with [@]: left operand, then the
+   operator, then the right operand. *)
+module Expr_walk = struct
+  module Expr = Ndp_ir.Expr
+  module Nested_set = Ndp_ir.Nested_set
+
+  let rec refs = function
+    | Expr.Const _ -> []
+    | Expr.Ref r -> [ r ]
+    | Expr.Binop (_, a, b) -> refs a @ refs b
+    | Expr.Group e -> refs e
+
+  let rec ops = function
+    | Expr.Const _ | Expr.Ref _ -> []
+    | Expr.Binop (op, a, b) -> ops a @ [ op ] @ ops b
+    | Expr.Group e -> ops e
+
+  let rec nested expr : Nested_set.t =
+    match expr with
+    | Expr.Const c -> { items = [ Const c ]; level_ops = []; reassociable = true }
+    | Expr.Ref r -> { items = [ Ref r ]; level_ops = []; reassociable = true }
+    | Expr.Group e -> nested e
+    | Expr.Binop _ ->
+      let rec flatten e =
+        match e with
+        | Expr.Binop (op', a, b) ->
+          let items_a, ops_a = flatten a in
+          let items_b, ops_b = flatten b in
+          (items_a @ items_b, ops_a @ [ op' ] @ ops_b)
+        | Expr.Const c -> ([ Nested_set.Const c ], [])
+        | Expr.Ref r -> ([ Nested_set.Ref r ], [])
+        | Expr.Group inner -> (
+          let sub = nested inner in
+          match sub.items with
+          | [ single ] when sub.level_ops = [] -> ([ single ], [])
+          | _ -> ([ Nested_set.Sub sub ], []))
+      in
+      let items, level_ops = flatten expr in
+      { items; level_ops; reassociable = List.for_all Ndp_ir.Op.commutative_associative level_ops }
+end

@@ -14,134 +14,20 @@ module Pool = Ndp_prelude.Pool
 
 let water () = Ndp_workloads.Suite.find "water"
 
-(* {1 A minimal JSON reader}
+(* {1 JSON}
 
-   Enough of RFC 8259 to validate the tracer's output without a JSON
-   dependency: objects, arrays, strings with the common escapes, numbers,
-   literals. Raises [Failure] on malformed input. *)
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
+   Emitted documents are read back with the library's own parser;
+   [parse_json] fails the test on malformed input. *)
+module Json = Ndp_obs.Render.Json
 
-  let parse (s : string) : t =
-    let n = String.length s in
-    let pos = ref 0 in
-    let fail msg = failwith (Printf.sprintf "json: %s at offset %d" msg !pos) in
-    let peek () = if !pos < n then s.[!pos] else '\000' in
-    let advance () = incr pos in
-    let rec skip_ws () =
-      match peek () with ' ' | '\t' | '\n' | '\r' -> advance (); skip_ws () | _ -> ()
-    in
-    let expect c = if peek () = c then advance () else fail (Printf.sprintf "expected %c" c) in
-    let literal word v =
-      String.iter expect word;
-      v
-    in
-    let parse_string () =
-      expect '"';
-      let b = Buffer.create 16 in
-      let rec go () =
-        match peek () with
-        | '\000' -> fail "unterminated string"
-        | '"' -> advance ()
-        | '\\' ->
-          advance ();
-          (match peek () with
-          | 'n' -> Buffer.add_char b '\n'
-          | 't' -> Buffer.add_char b '\t'
-          | 'r' -> Buffer.add_char b '\r'
-          | 'b' -> Buffer.add_char b '\b'
-          | 'f' -> Buffer.add_char b '\012'
-          | 'u' ->
-            (* keep validation simple: skip the four hex digits *)
-            for _ = 1 to 4 do
-              advance ();
-              match peek () with
-              | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> ()
-              | _ -> fail "bad \\u escape"
-            done;
-            Buffer.add_char b '?'
-          | c -> Buffer.add_char b c);
-          advance ();
-          go ()
-        | c ->
-          Buffer.add_char b c;
-          advance ();
-          go ()
-      in
-      go ();
-      Buffer.contents b
-    in
-    let parse_number () =
-      let start = !pos in
-      let num_char = function
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      in
-      while num_char (peek ()) do
-        advance ()
-      done;
-      match float_of_string_opt (String.sub s start (!pos - start)) with
-      | Some f -> Num f
-      | None -> fail "bad number"
-    in
-    let rec parse_value () =
-      skip_ws ();
-      match peek () with
-      | '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = '}' then (advance (); Obj [])
-        else
-          let rec members acc =
-            skip_ws ();
-            let key = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | ',' -> advance (); members ((key, v) :: acc)
-            | '}' -> advance (); Obj (List.rev ((key, v) :: acc))
-            | _ -> fail "expected , or }"
-          in
-          members []
-      | '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = ']' then (advance (); Arr [])
-        else
-          let rec elements acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | ',' -> advance (); elements (v :: acc)
-            | ']' -> advance (); Arr (List.rev (v :: acc))
-            | _ -> fail "expected , or ]"
-          in
-          elements []
-      | '"' -> Str (parse_string ())
-      | 't' -> literal "true" (Bool true)
-      | 'f' -> literal "false" (Bool false)
-      | 'n' -> literal "null" Null
-      | _ -> parse_number ()
-    in
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> n then fail "trailing garbage";
-    v
+let parse_json s = match Json.parse s with Ok v -> v | Error m -> Alcotest.fail ("json: " ^ m)
 
-  let member key = function Obj kvs -> List.assoc_opt key kvs | _ -> None
+let str = function Some (Json.Str s) -> s | _ -> Alcotest.fail "json: expected string"
 
-  let str = function Some (Str s) -> s | _ -> failwith "json: expected string"
-
-  let num = function Some (Num f) -> f | _ -> failwith "json: expected number"
-end
+let num = function
+  | Some (Json.Int n) -> float_of_int n
+  | Some (Json.Float f) -> f
+  | _ -> Alcotest.fail "json: expected number"
 
 (* {1 Registry} *)
 
@@ -256,10 +142,10 @@ let trace_chrome_well_formed () =
   let obs = Sink.create ~metrics:true ~trace:true () in
   let r = P.Job.run ~obs (P.Job.make (P.Partitioned P.partitioned_defaults) (water ())) in
   Alcotest.(check int) "nothing dropped" 0 (T.dropped obs.Sink.trace);
-  let doc = Json.parse (T.to_chrome obs.Sink.trace) in
+  let doc = parse_json (T.to_chrome obs.Sink.trace) in
   let events =
     match Json.member "traceEvents" doc with
-    | Some (Json.Arr es) -> es
+    | Some (Json.List es) -> es
     | _ -> Alcotest.fail "traceEvents array missing"
   in
   Alcotest.(check bool) "events present" true (events <> []);
@@ -268,18 +154,18 @@ let trace_chrome_well_formed () =
   let max_task_end = ref 0.0 in
   List.iter
     (fun e ->
-      let ts = Json.num (Json.member "ts" e) in
+      let ts = num (Json.member "ts" e) in
       Alcotest.(check bool) "ts monotone" true (ts >= !last_ts);
       last_ts := ts;
-      match Json.str (Json.member "ph" e) with
+      match str (Json.member "ph" e) with
       | "X" ->
-        let dur = Json.num (Json.member "dur" e) in
+        let dur = num (Json.member "dur" e) in
         Alcotest.(check bool) "dur non-negative" true (dur >= 0.0);
-        if Json.str (Json.member "cat" e) = "task" then begin
+        if str (Json.member "cat" e) = "task" then begin
           incr tasks;
           if ts +. dur > !max_task_end then max_task_end := ts +. dur
         end
-      | "i" -> Alcotest.(check string) "sync cat" "sync" (Json.str (Json.member "cat" e))
+      | "i" -> Alcotest.(check string) "sync cat" "sync" (str (Json.member "cat" e))
       | ph -> Alcotest.fail ("unexpected phase " ^ ph))
     events;
   (* The trace must reconcile with the aggregate stats: one complete event
@@ -298,7 +184,7 @@ let trace_jsonl_lines_parse () =
   Alcotest.(check int) "one line per event" (T.length obs.Sink.trace) (List.length lines);
   List.iter
     (fun line ->
-      match Json.parse line with
+      match parse_json line with
       | Json.Obj _ -> ()
       | _ -> Alcotest.fail "jsonl line is not an object")
     lines
@@ -306,7 +192,7 @@ let trace_jsonl_lines_parse () =
 let metrics_json_parses () =
   let obs = Sink.create ~metrics:true ~trace:false () in
   ignore (P.Job.run ~obs (P.Job.make (P.Partitioned P.partitioned_defaults) (water ())));
-  match Json.parse (Ndp_obs.Render.Json.to_string (M.to_json obs.Sink.metrics)) with
+  match parse_json (Json.to_string (M.to_json obs.Sink.metrics)) with
   | Json.Obj kvs ->
     Alcotest.(check bool) "per-link family present" true
       (List.exists (fun (k, _) -> Astring.String.is_prefix ~affix:"noc.link_flits{" k) kvs);
@@ -386,7 +272,7 @@ let ledger_output_deterministic_across_jobs () =
     (match jobs with
     | 1 -> run obs None
     | j -> Pool.with_pool ~jobs:j (fun pool -> run obs (Some pool)));
-    Ndp_obs.Render.Json.to_string (L.to_json obs.Sink.ledger)
+    Json.to_string (L.to_json obs.Sink.ledger)
   in
   let serial = render 1 in
   Alcotest.(check string) "jobs=4 byte-identical" serial (render 4);
@@ -512,7 +398,6 @@ let stats_pp_no_nan () =
 (* {1 Spans} *)
 
 module Span = Ndp_obs.Span
-module RJ = Ndp_obs.Render.Json
 
 (* A deterministic test clock: 1 ms per reading. *)
 let tick_clock () =
@@ -522,12 +407,12 @@ let tick_clock () =
     !t
 
 let span_fields t =
-  match RJ.member "spans" (Span.to_json ~wall:false t) with
-  | Some (RJ.List items) ->
+  match Json.member "spans" (Span.to_json ~wall:false t) with
+  | Some (Json.List items) ->
     List.map
       (fun item ->
-        let int name = match RJ.member name item with Some (RJ.Int n) -> n | _ -> -999 in
-        let str name = match RJ.member name item with Some (RJ.Str s) -> s | _ -> "?" in
+        let int name = match Json.member name item with Some (Json.Int n) -> n | _ -> -999 in
+        let str name = match Json.member name item with Some (Json.Str s) -> s | _ -> "?" in
         (str "name", int "id", int "parent", int "depth"))
       items
   | _ -> Alcotest.fail "span json has no spans list"
@@ -552,14 +437,14 @@ let span_nesting_and_attrs () =
     [ ("a", (0, (-1, 0))); ("b", (1, (0, 1))); ("c", (2, (0, 1))) ]
     (List.map (fun (n, i, p, d) -> (n, (i, (p, d)))) (span_fields t));
   (* attrs and cycles survive into the JSON *)
-  (match RJ.member "spans" (Span.to_json ~wall:false t) with
-  | Some (RJ.List [ _; b_item; c_item ]) ->
-    (match RJ.member "attrs" b_item with
+  (match Json.member "spans" (Span.to_json ~wall:false t) with
+  | Some (Json.List [ _; b_item; c_item ]) ->
+    (match Json.member "attrs" b_item with
     | Some attrs ->
-      Alcotest.(check bool) "int attr" true (RJ.member "n" attrs = Some (RJ.Int 7));
-      Alcotest.(check bool) "str attr" true (RJ.member "k" attrs = Some (RJ.Str "v"))
+      Alcotest.(check bool) "int attr" true (Json.member "n" attrs = Some (Json.Int 7));
+      Alcotest.(check bool) "str attr" true (Json.member "k" attrs = Some (Json.Str "v"))
     | None -> Alcotest.fail "span b lost its attrs");
-    Alcotest.(check bool) "cycles attr" true (RJ.member "cycles" c_item = Some (RJ.Int 42))
+    Alcotest.(check bool) "cycles attr" true (Json.member "cycles" c_item = Some (Json.Int 42))
   | _ -> Alcotest.fail "expected three spans");
   (* summary aggregates by name, name-sorted *)
   let names = List.map fst (Span.summary t) in
@@ -575,7 +460,7 @@ let span_disabled_inert () =
   Alcotest.(check int) "nothing recorded" 0 (Span.count t);
   Alcotest.(check int) "nothing open" 0 (Span.depth t);
   Alcotest.(check bool) "empty json" true
-    (RJ.member "count" (Span.to_json t) = Some (RJ.Int 0))
+    (Json.member "count" (Span.to_json t) = Some (Json.Int 0))
 
 let span_exception_safe () =
   let t = Span.create ~clock:(tick_clock ()) () in
@@ -597,7 +482,7 @@ let span_deterministic_across_jobs () =
             ignore
               (P.Job.run ~pool ~obs
                  (P.Job.make (P.Partitioned P.partitioned_defaults) kernel));
-            RJ.to_string (Span.to_json ~wall:false spans))
+            Json.to_string (Span.to_json ~wall:false spans))
       in
       let p1 = pipeline 1 in
       Alcotest.(check string) (app ^ " pipeline spans 4 jobs == serial") p1 (pipeline 4);
@@ -613,7 +498,7 @@ let span_deterministic_across_jobs () =
                   t)
                 [ 0; 1; 2; 3; 4; 5; 6; 7 ]
             in
-            RJ.to_string (Span.to_json ~wall:false (Span.merge parts)))
+            Json.to_string (Span.to_json ~wall:false (Span.merge parts)))
       in
       let m1 = merged 1 in
       Alcotest.(check string) (app ^ " merged spans 4 jobs == serial") m1 (merged 4);
@@ -662,8 +547,8 @@ let span_chrome_containment () =
   let slices =
     List.map
       (fun e ->
-        let num name = match RJ.member name e with Some (RJ.Float f) -> f | Some (RJ.Int n) -> float_of_int n | _ -> nan in
-        let name = match RJ.member "name" e with Some (RJ.Str s) -> s | _ -> "?" in
+        let num name = match Json.member name e with Some (Json.Float f) -> f | Some (Json.Int n) -> float_of_int n | _ -> nan in
+        let name = match Json.member "name" e with Some (Json.Str s) -> s | _ -> "?" in
         (name, num "ts", num "dur"))
       (Span.chrome_events t)
   in
@@ -756,19 +641,19 @@ let prometheus_deterministic () =
 
 module BD = Ndp_obs.Bench_diff
 
-let bench_entry name ns = RJ.Obj [ ("name", RJ.Str name); ("ns", RJ.Float ns) ]
+let bench_entry name ns = Json.Obj [ ("name", Json.Str name); ("ns", Json.Float ns) ]
 
 let bench_diff_report () =
   let old_doc =
-    RJ.Obj
+    Json.Obj
       [
-        ("meta", RJ.Obj [ ("commit", RJ.Str "abc123"); ("jobs", RJ.Int 4) ]);
-        ("tests", RJ.List [ bench_entry "a" 100.0; bench_entry "b" 200.0; bench_entry "gone" 5.0 ]);
+        ("meta", Json.Obj [ ("commit", Json.Str "abc123"); ("jobs", Json.Int 4) ]);
+        ("tests", Json.List [ bench_entry "a" 100.0; bench_entry "b" 200.0; bench_entry "gone" 5.0 ]);
       ]
   in
   let new_doc =
-    RJ.Obj
-      [ ("tests", RJ.List [ bench_entry "a" 105.0; bench_entry "b" 260.0; bench_entry "fresh" 1.0 ]) ]
+    Json.Obj
+      [ ("tests", Json.List [ bench_entry "a" 105.0; bench_entry "b" 260.0; bench_entry "fresh" 1.0 ]) ]
   in
   match BD.compare_docs ~threshold:10.0 ~old_doc ~new_doc () with
   | Error m -> Alcotest.fail m
@@ -795,8 +680,8 @@ let bench_diff_report () =
       (Astring.String.is_infix ~affix:"REGRESSED" (BD.render r))
 
 let bench_diff_rejects_malformed () =
-  let good = RJ.Obj [ ("tests", RJ.List [ bench_entry "a" 1.0 ]) ] in
-  (match BD.compare_docs ~old_doc:(RJ.Obj []) ~new_doc:good () with
+  let good = Json.Obj [ ("tests", Json.List [ bench_entry "a" 1.0 ]) ] in
+  (match BD.compare_docs ~old_doc:(Json.Obj []) ~new_doc:good () with
   | Error m -> Alcotest.(check bool) "names the old side" true (Astring.String.is_infix ~affix:"old" m)
   | Ok _ -> Alcotest.fail "missing tests array must be rejected");
   match BD.compare_strings ~old_text:"{ not json" ~new_text:"{\"tests\": []}" () with

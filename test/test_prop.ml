@@ -6,13 +6,18 @@
    Properties:
    - parser round-trip: printing any precedence-respecting statement tree
      and reparsing it yields the same tree;
+   - a statement's shape fields (inputs, ops, nested set) equal their
+     derivation from its right-hand side, and the derivations equal
+     their append-based definitions;
    - the bucketed [Dependence.analyze] equals the O(n^2) naive oracle on
      random instance streams (including indirect may-dependences), and the
      banded analysis equals the oracle filtered to the band;
    - every schedule the partitioned pipeline emits for a random in-bounds
      kernel passes the [Ndp_analysis.Validate] race detector;
    - linking [ndp_fault] but injecting an empty plan leaves a run
-     result-identical to one with no plan at all. *)
+     result-identical to one with no plan at all;
+   - [Rooted_tree] agrees with the hashtable oracle on random spanning
+     trees, cyclic edge sets and edge sets that miss the root. *)
 
 module Rng = Ndp_prelude.Rng
 module Sub = Ndp_ir.Subscript
@@ -155,6 +160,28 @@ let parser_round_trip () =
           Error
             (Printf.sprintf "parse of %S rebuilt a different tree (reprints as %S)" src
                (Stmt.to_string t')))
+
+(* [Stmt.make] builds the statement's shape once; every field must equal
+   its derivation from the right-hand side, for generated statements and
+   for the shrinks the harness would try (which rebuild through
+   [Stmt.make] too). The derivations themselves must match the
+   append-based definitions in [Oracles.Expr_walk]. *)
+let shape_fields_derived () =
+  let derived (s : Stmt.t) =
+    let rhs = s.Stmt.rhs in
+    Stmt.inputs s = Expr.refs rhs
+    && Stmt.ops s = Expr.ops rhs
+    && Stmt.nested s = Ndp_ir.Nested_set.of_expr rhs
+    && Expr.refs rhs = Oracles.Expr_walk.refs rhs
+    && Expr.ops rhs = Oracles.Expr_walk.ops rhs
+    && Ndp_ir.Nested_set.of_expr rhs = Oracles.Expr_walk.nested rhs
+  in
+  forall ~count:400 ~name:"statement shape = derivation" arb_stmt (fun t ->
+      match List.find_opt (fun s -> not (derived s)) (t :: shrink_stmt t) with
+      | None -> Ok ()
+      | Some s ->
+        Error
+          (Printf.sprintf "shape fields of %S differ from Expr/Nested_set" (Stmt.to_string s)))
 
 (* -------------------------------------------------------------------- *)
 (* Dependence analysis vs. the naive oracle.                             *)
@@ -752,6 +779,104 @@ let shrinker_minimizes () =
   | _ -> Alcotest.failf "not minimal: %s" (Stmt.to_string m)
 
 (* -------------------------------------------------------------------- *)
+(* Rooted spanning trees vs. the hashtable oracle.                       *)
+
+module Kruskal = Ndp_graph.Kruskal
+module Tree = Ndp_graph.Rooted_tree
+
+type tree_case = { t_root : int; t_edges : Kruskal.edge list }
+
+(* Kruskal over a random weighted graph on up to 12 vertices (a spanning
+   tree, or a forest when the graph is disconnected), then relabelled
+   onto scattered ids in 0..63 like mesh nodes, so ascending order is not
+   discovery order. A quarter of the cases gain an edge between two tree
+   vertices (a cycle, duplicate or self-loop), a quarter an edge between
+   two vertices outside the tree (not reaching the root). Edges are
+   shuffled and their ends randomly swapped. *)
+let gen_tree_case rng =
+  let n = 1 + Rng.int rng 12 in
+  let graph = ref [] in
+  for u = 0 to n - 1 do
+    for v = u + 1 to n - 1 do
+      if Rng.chance rng 0.5 then graph := { Kruskal.u; v; weight = Rng.int rng 6 } :: !graph
+    done
+  done;
+  let ids = Array.init 64 Fun.id in
+  Rng.shuffle rng ids;
+  let edge u v weight =
+    if Rng.bool rng then { Kruskal.u; v; weight } else { Kruskal.u = v; v = u; weight }
+  in
+  let edges =
+    List.map (fun (e : Kruskal.edge) -> edge ids.(e.u) ids.(e.v) e.weight) (Kruskal.mst ~n !graph)
+  in
+  let outside () = ids.(n + Rng.int rng (64 - n)) in
+  let edges =
+    match Rng.int rng 4 with
+    | 0 -> edge ids.(Rng.int rng n) ids.(Rng.int rng n) (Rng.int rng 6) :: edges
+    | 1 -> edge (outside ()) (outside ()) (Rng.int rng 6) :: edges
+    | _ -> edges
+  in
+  let arr = Array.of_list edges in
+  Rng.shuffle rng arr;
+  { t_root = ids.(Rng.int rng n); t_edges = Array.to_list arr }
+
+let arb_tree_case =
+  {
+    gen = gen_tree_case;
+    shrink =
+      (fun c ->
+        List.mapi
+          (fun i _ -> { c with t_edges = List.filteri (fun j _ -> j <> i) c.t_edges })
+          c.t_edges);
+    print =
+      (fun c ->
+        Printf.sprintf "root %d, edges [%s]" c.t_root
+          (String.concat "; "
+             (List.map
+                (fun (e : Kruskal.edge) -> Printf.sprintf "%d-%d/%d" e.u e.v e.weight)
+                c.t_edges)));
+  }
+
+let tree_matches_oracle () =
+  let raised = Hashtbl.create 2 in
+  let outcome f = match f () with x -> Ok x | exception Invalid_argument m -> Error m in
+  let module O = Oracles.Rooted_tree in
+  forall ~count:500 ~name:"rooted tree = hashtable oracle" arb_tree_case (fun c ->
+      match
+        ( outcome (fun () -> Tree.of_edges ~root:c.t_root c.t_edges),
+          outcome (fun () -> O.of_edges ~root:c.t_root c.t_edges) )
+      with
+      | Error m, Error m' ->
+        Hashtbl.replace raised m ();
+        if m = m' then Ok () else Error (Printf.sprintf "raised %S, the oracle %S" m m')
+      | Ok _, Error m' -> Error (Printf.sprintf "accepted; the oracle raised %S" m')
+      | Error m, Ok _ -> Error (Printf.sprintf "raised %S; the oracle accepted" m)
+      | Ok t, Ok o ->
+        let differs what = Error (what ^ " differs from the oracle") in
+        if Tree.root t <> O.root o then differs "root"
+        else if Tree.vertices t <> O.vertices o then differs "vertices"
+        else if Tree.postorder t <> O.postorder o then differs "postorder"
+        else
+          (* Every vertex, plus ids that are not in the tree. *)
+          match
+            List.find_opt
+              (fun v ->
+                Tree.children t v <> O.children o v
+                || Tree.parent t v <> O.parent o v
+                || outcome (fun () -> Tree.edge_weight t v)
+                   <> outcome (fun () -> O.edge_weight o v))
+              (-1 :: 64 :: O.vertices o)
+          with
+          | Some v -> differs (Printf.sprintf "children, parent or edge weight of %d" v)
+          | None -> Ok ());
+  List.iter
+    (fun m -> Alcotest.(check bool) ("some case raised " ^ m) true (Hashtbl.mem raised m))
+    [
+      "Rooted_tree.of_edges: edge set contains a cycle";
+      "Rooted_tree.of_edges: edge set is not a tree reaching the root";
+    ]
+
+(* -------------------------------------------------------------------- *)
 (* Serve protocol: every request survives the JSON wire codec.           *)
 
 module Proto = Ndp_serve.Protocol
@@ -840,5 +965,7 @@ let tests =
         Alcotest.test_case "banded analyze = filtered naive oracle" `Quick
           banded_analyze_equals_filtered_oracle;
         Alcotest.test_case "adaptive = analytic runs (suite)" `Slow adaptive_is_analytic_suite;
+        Alcotest.test_case "statement shape = derivation" `Quick shape_fields_derived;
+        Alcotest.test_case "rooted tree = hashtable oracle" `Quick tree_matches_oracle;
       ] );
   ]

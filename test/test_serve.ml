@@ -341,15 +341,19 @@ let sweep_reuses_schedule () =
       let sf = Server.handle fresh sweep in
       Alcotest.(check string) "cold sweep body identical" s1.Server.body sf.Server.body)
 
-(* One bad value per spec field the resolver reads: each is refused in
-   band, uncached, with a structured body naming that field. A window
-   below 1 is refused rather than clamped into an alias of w=1. *)
+(* One bad value per spec field the resolver reads, and per tweak: each
+   is refused in band, uncached, with a structured body naming that field
+   or tweak. A window below 1 is refused rather than clamped into an
+   alias of w=1; a cost scale below 1 or NaN is refused rather than run
+   untweaked under a cache key of its own. *)
 let errors_reported_in_band () =
   let server = Server.create () in
   Fun.protect
     ~finally:(fun () -> Server.shutdown server)
     (fun () ->
       let spec = Protocol.default_spec ~app:"fft" in
+      let tweaked tweaks = { spec with Protocol.tweaks } in
+      let no = Pipeline.no_tweaks in
       List.iter
         (fun (field, bad) ->
           let r = Server.handle server (Protocol.Run { spec = bad; metrics = false }) in
@@ -372,6 +376,12 @@ let errors_reported_in_band () =
           ("cluster", { spec with Protocol.cluster = "torus" });
           ("memory", { spec with Protocol.memory = "tape" });
           ("faults", { spec with Protocol.faults = "bogus=1" });
+          ("distance_factor", tweaked { no with Pipeline.distance_factor = -1.0 });
+          ("l1_boost", tweaked { no with Pipeline.l1_boost = 2.0 });
+          ("mc_overrides", tweaked { no with Pipeline.mc_overrides = [ (0, 999) ] });
+          ("cost_scale", tweaked { no with Pipeline.cost_scale = 0.0 });
+          ("cost_scale", tweaked { no with Pipeline.cost_scale = Float.nan });
+          ("extra_syncs", tweaked { no with Pipeline.extra_syncs = -3 });
         ])
 
 (* A sweep override the simulator cannot run is refused before anything
@@ -382,13 +392,12 @@ let sweep_overrides_validated () =
   Fun.protect
     ~finally:(fun () -> Server.shutdown server)
     (fun () ->
-      let sweep overrides =
+      let sweep ?(v_tweaks = Pipeline.no_tweaks) overrides =
         Server.handle server
           (Protocol.Sweep
              {
                spec = Protocol.default_spec ~app:"fft";
-               variants =
-                 [ { Protocol.v_name = "v"; v_overrides = overrides; v_tweaks = Pipeline.no_tweaks } ];
+               variants = [ { Protocol.v_name = "v"; v_overrides = overrides; v_tweaks } ];
              })
       in
       List.iter
@@ -413,6 +422,13 @@ let sweep_overrides_validated () =
           ("ddr_cycles", -1);
           ("mesh_cols", 8);
         ];
+      let r = sweep ~v_tweaks:{ Pipeline.no_tweaks with Pipeline.l1_boost = 2.0 } [] in
+      Alcotest.(check bool) "out-of-range variant tweak refused" false r.Server.ok;
+      (match RJ.parse r.Server.body with
+      | Ok doc ->
+        Alcotest.(check bool) "names the tweak" true
+          (RJ.member "field" doc = Some (RJ.Str "l1_boost"))
+      | Error m -> Alcotest.failf "variant tweak: error body unparseable: %s" m);
       Alcotest.(check int) "refused sweeps compiled nothing" 0
         (Cache.stats (Server.schedule_cache server)).Cache.misses;
       let ok = sweep [ ("hop_cycles", 1); ("sync_cycles", 0); ("outstanding_loads", 1) ] in
