@@ -4,7 +4,8 @@
 # attribution ledger must account for every flit-hop the NoC carried),
 # the static-cost-model reconciliation (the closed-form table must stay
 # within the divergence threshold of the measured ledger),
-# the fault-injection + schedule-repair self-check, the serve daemon
+# the fault-injection + schedule-repair self-check (plus an out-of-range
+# fault spec refused as a usage error), the serve daemon
 # round-trip (a repeated identical request must come back as a
 # byte-identical cache hit, and run/analyze/profile/inject bodies must
 # be byte-identical to the CLI's --format json output), the telemetry
@@ -320,6 +321,19 @@ fault_gate() (
   dune exec bin/ndp_run.exe -- \
     inject fft --faults "kill=2,stall=9@0+200000,mc=0x2" --repair --selfcheck \
     >/dev/null
+  # A stall past the 2^20-cycle bound is a usage error naming --faults
+  # (exit 124), not an uncaught exception.
+  _err=$(mktemp /tmp/ndp_fault_err.XXXXXX.txt)
+  _rc=0
+  dune exec bin/ndp_run.exe -- \
+    inject fft --faults "stall=5@0+4611686018427387903" >/dev/null 2>"$_err" || _rc=$?
+  if [ "$_rc" -ne 124 ] || ! grep -q -- "--faults" "$_err"; then
+    echo "fault: out-of-range stall exited $_rc, want 124 naming --faults" >&2
+    cat "$_err" >&2
+    rm -f "$_err"
+    exit 1
+  fi
+  rm -f "$_err"
 )
 
 perfbench_selftest_gate() (

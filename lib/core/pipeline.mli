@@ -113,8 +113,7 @@ type result = {
 
     Everything that determines a compile+simulate outcome lives in one
     value, so the CLI, the serving daemon ([Ndp_serve]) and the tests
-    build requests the same way, [Ndp_serve.Key] can hash them, and
-    {!run_batch} can ship lists of them across a pool. *)
+    build requests the same way and [Ndp_serve.Key] can hash them. *)
 module Job : sig
   type t = {
     scheme : scheme;
@@ -180,23 +179,7 @@ val window_size :
     pipeline and the static cost table ([Ndp_analysis.Cost]) both size
     windows here. *)
 
-(** {1 Batched and replayed simulation} *)
-
-val run_batch :
-  ?pool:Ndp_prelude.Pool.t ->
-  ?metrics:Ndp_obs.Metrics.Sharded.t ->
-  Job.t list ->
-  result list
-(** Run every job, concurrently when given a [pool], returning results in
-    input order. Each job is an independent simulation — its own machine,
-    engine, context and inspector — so a batch is deterministic at any
-    pool size and each result is byte-identical to the corresponding solo
-    {!Job.run}. [metrics] applies the [Metrics.Sharded] discipline at job
-    granularity: every job fills its own private registry (jobs must not
-    share instrument handles — a shared [Stats] counter would bleed one
-    simulation's counts into another's result), and the registries are
-    merged in input order and absorbed as one shard, so [Sharded.merged]
-    afterwards yields totals identical at any pool size. *)
+(** {1 Replayed simulation} *)
 
 type replayed = {
   rp_stats : Ndp_sim.Stats.t;

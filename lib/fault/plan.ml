@@ -151,6 +151,22 @@ let undirected_pairs mesh =
   |> List.map (fun l -> (l.Mesh.from_node, l.Mesh.to_node))
   |> Array.of_list
 
+(* Bounds on what a plan may ask of the simulator. A factor outside
+   [1, 100] (nan included) would let a fault speed the machine up or blow
+   latencies past anything the cost model was built for, and the network
+   sizes its per-link utilization arrays by the largest simulated time it
+   sees, so a stall ending far out would allocate without bound. The
+   largest factor any shipped spec uses is 4 and the longest stall 200000
+   cycles. *)
+let max_factor = 100.0
+
+let max_stall_end = 1 lsl 20
+
+let check_factor what f =
+  (* Written as a positive range test so nan fails it. *)
+  if not (f >= 1.0 && f <= max_factor) then
+    invalid_arg (Printf.sprintf "Ndp_fault.Plan: %s factor %g not in [1, %g]" what f max_factor)
+
 let make ~mesh ~seed ?(retry_timeout = 256) ?(max_retries = 3) events =
   if retry_timeout <= 0 then invalid_arg "Ndp_fault.Plan: retry_timeout <= 0";
   if max_retries <= 0 then invalid_arg "Ndp_fault.Plan: max_retries <= 0";
@@ -186,10 +202,10 @@ let make ~mesh ~seed ?(retry_timeout = 256) ?(max_retries = 3) events =
             List.iter (fun i -> killed.(i) <- true) (both_directions mesh a b))
           (pick_fresh count)
     | Degrade_link (a, b, f) ->
-        if f < 1.0 then invalid_arg "Ndp_fault.Plan: degrade factor < 1.0";
+        check_factor "degrade" f;
         List.iter (fun i -> factor.(i) <- f) (both_directions mesh a b)
     | Degrade_links (count, f) ->
-        if f < 1.0 then invalid_arg "Ndp_fault.Plan: degrade factor < 1.0";
+        check_factor "degrade" f;
         List.iter
           (fun (a, b) ->
             List.iter (fun i -> factor.(i) <- f) (both_directions mesh a b))
@@ -197,13 +213,14 @@ let make ~mesh ~seed ?(retry_timeout = 256) ?(max_retries = 3) events =
     | Stall (node, start, len) ->
         if node < 0 || node >= n then
           invalid_arg "Ndp_fault.Plan: stall node out of range";
-        if start < 0 || len <= 0 then
-          invalid_arg "Ndp_fault.Plan: bad stall window";
+        if start < 0 || len <= 0 || len > max_stall_end - start then
+          invalid_arg
+            (Printf.sprintf "Ndp_fault.Plan: stall window must lie in [0, %d]" max_stall_end);
         stalls.(node) <- (start, len) :: stalls.(node)
     | Mc_slow (node, f) ->
         if node < 0 || node >= n then
           invalid_arg "Ndp_fault.Plan: mc node out of range";
-        if f < 1.0 then invalid_arg "Ndp_fault.Plan: mc factor < 1.0";
+        check_factor "mc" f;
         mc_mult.(Mesh.nearest_mc mesh node) <- f
   in
   List.iter apply events;

@@ -37,7 +37,13 @@ val make :
 (** Resolve events into a concrete plan. [retry_timeout] (default 256) is
     the cycles lost per timed-out send attempt on a killed link;
     [max_retries] (default 3) bounds the attempts before the message is
-    forced through on the degraded maintenance path. *)
+    forced through on the degraded maintenance path.
+
+    Raises [Invalid_argument] on an event the simulator cannot run: a
+    degrade or MC factor that is not a number from 1 to 100, a stall
+    window that is empty, starts before cycle 0 or ends after cycle
+    2{^ 20}, an out-of-range node, or a link between non-adjacent
+    nodes. *)
 
 val parse :
   mesh:Ndp_noc.Mesh.t ->
@@ -52,7 +58,8 @@ val parse :
     - [stall=NODE\@START+LEN] — stall window on a node
     - [mc=NODExF] — backpressure the MC nearest NODE by factor F
 
-    Example: ["kill=2,slow=1x4.0,stall=9\@0+200000,mc=0x2.5"]. *)
+    Example: ["kill=2,slow=1x4.0,stall=9\@0+200000,mc=0x2.5"]. Events
+    {!make} refuses come back as [Error]. *)
 
 val empty : mesh:Ndp_noc.Mesh.t -> t
 (** A plan with no faults (behaves exactly like [None]). *)

@@ -131,14 +131,3 @@ let analyze ?band resolver instances =
     if n <= 12 then scan resolved ~reach:n else bucketed resolved
 
 let kind_to_string = function Flow -> "flow" | Anti -> "anti" | Output -> "output"
-
-type index = (int * int, unit) Hashtbl.t
-
-let index_deps deps =
-  let tbl = Hashtbl.create (max 16 (List.length deps)) in
-  List.iter (fun d -> Hashtbl.replace tbl (d.src, d.dst) ()) deps;
-  tbl
-
-let serialized index ~src ~dst = Hashtbl.mem index (src, dst)
-
-let must_serialize deps ~src ~dst = serialized (index_deps deps) ~src ~dst

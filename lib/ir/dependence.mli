@@ -42,17 +42,3 @@ val analyze : ?band:int -> resolver -> instance list -> dep list
     length) instead of O(n{^ 2}). *)
 
 val kind_to_string : kind -> string
-
-type index
-(** Precomputed (src, dst) lookup over a dependence list. *)
-
-val index_deps : dep list -> index
-(** O(n) construction; queries through {!serialized} are O(1). *)
-
-val serialized : index -> src:int -> dst:int -> bool
-(** Whether any dependence orders the two instances. *)
-
-val must_serialize : dep list -> src:int -> dst:int -> bool
-(** Whether any dependence orders the two instances. Thin wrapper that
-    builds a throwaway {!index}; callers with repeated queries against one
-    dependence list should build the index once via {!index_deps}. *)

@@ -27,13 +27,3 @@ let create ?(metrics = true) ?(trace = true) ?trace_capacity ?(ledger = false)
        else Timeline.none);
     spans = (if spans then Span.create () else Span.none);
   }
-
-let metrics_enabled t = Metrics.enabled t.metrics
-
-let trace_enabled t = Trace.enabled t.trace
-
-let ledger_enabled t = Ledger.enabled t.ledger
-
-let timeline_enabled t = Timeline.enabled t.timeline
-
-let spans_enabled t = Span.enabled t.spans

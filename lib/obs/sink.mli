@@ -32,13 +32,3 @@ val create :
     their exact pre-profiling behaviour. Callers that already hold a
     {!Span.t} (e.g. a per-request collector) substitute it with a record
     update: [{ sink with Sink.spans }]. *)
-
-val metrics_enabled : t -> bool
-
-val trace_enabled : t -> bool
-
-val ledger_enabled : t -> bool
-
-val timeline_enabled : t -> bool
-
-val spans_enabled : t -> bool

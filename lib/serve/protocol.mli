@@ -40,7 +40,7 @@ type request =
   | Profile of { spec : job_spec; interval : int; top : int }
   | Analyze of { spec : job_spec; threshold : float }
   | Inject of job_spec
-  | Batch of job_spec list (** one [run_batch] across the pool *)
+  | Batch of job_spec list (** one [Job.run] per spec across the pool *)
   | Sweep of { spec : job_spec; variants : variant list }
   | Cache_stats
       (** cache counters plus per-op request-latency percentiles

@@ -301,7 +301,7 @@ let handle t (req : Protocol.request) =
           in
           let b, hit =
             Cache.find_or_add t.results key (fun () ->
-                let results = Pipeline.run_batch ~pool:t.pool jobs in
+                let results = Pool.parallel_map t.pool (fun j -> Pipeline.Job.run j) jobs in
                 body (Json.Obj [ ("results", Json.List (List.map Service.result_json results)) ]))
           in
           reply_of ~ok:true ~cached:hit ~key b)

@@ -314,24 +314,6 @@ let analyze_matches_naive () =
     (List.map (fun (a, b, c, d) -> ((a, b), (c, d))) naive)
     (List.map (fun (a, b, c, d) -> ((a, b), (c, d))) fast)
 
-let index_matches_linear_scan () =
-  let stream, resolver = raytrace_stream 80 in
-  let deps = Dep.analyze resolver stream in
-  let index = Dep.index_deps deps in
-  let n = List.length stream in
-  for src = 0 to n - 1 do
-    for dst = 0 to n - 1 do
-      let expected = List.exists (fun (d : Dep.dep) -> d.Dep.src = src && d.Dep.dst = dst) deps in
-      if expected <> Dep.serialized index ~src ~dst then
-        Alcotest.failf "index disagrees with linear scan at (%d, %d)" src dst
-    done
-  done;
-  match deps with
-  | d :: _ ->
-    Alcotest.(check bool) "must_serialize wrapper" true
-      (Dep.must_serialize deps ~src:d.Dep.src ~dst:d.Dep.dst)
-  | [] -> Alcotest.fail "expected at least one dependence"
-
 (* -------------------------------------------------------------------- *)
 (* Checker + diagnostics plumbing.                                       *)
 
@@ -400,7 +382,6 @@ let tests =
     ( "analysis.dependence",
       [
         Alcotest.test_case "bucketed analyze equals naive oracle" `Quick analyze_matches_naive;
-        Alcotest.test_case "index equals linear scan" `Quick index_matches_linear_scan;
       ] );
     ( "analysis.checker",
       [

@@ -70,7 +70,13 @@ let parse_rejects_garbage () =
   rejected "slow=2";
   rejected "frobnicate=1";
   (* nodes 0 and 35 are opposite mesh corners, not adjacent *)
-  rejected "kill=0>35"
+  rejected "kill=0>35";
+  (* factors must be finite and in [1, 100]; stalls must end by 2^20 *)
+  List.iter rejected
+    [
+      "slow=3xnan"; "slow=3xinf"; "slow=3x1e300"; "mc=0x1e6"; "mc=0xnan"; "mc=0x1e300";
+      "stall=5@0+4294967296"; "stall=5@0+4611686018427387903";
+    ]
 
 let plans_are_seed_deterministic () =
   let killed p =

@@ -1,5 +1,4 @@
-(* Observability subsystem: registry semantics, sharded-merge determinism
-   under the pool, trace ring behaviour, Chrome-JSON well-formedness, and
+(* Observability subsystem: registry semantics, trace ring behaviour, Chrome-JSON well-formedness, and
    the no-perturbation guarantee (observed runs byte-identical to
    unobserved ones). *)
 
@@ -79,51 +78,6 @@ let disabled_inert () =
   M.set_gauge (M.gauge M.disabled "dead.gauge") 1.0;
   Alcotest.(check int) "dead counter stays zero" 0 (M.counter_value c);
   Alcotest.(check (list string)) "nothing registered" [] (List.map fst (M.to_alist M.disabled))
-
-let merge_counters_commute () =
-  let build bumps =
-    let reg = M.create () in
-    List.iter
-      (fun (name, v) -> M.add (M.counter reg name) v)
-      bumps;
-    reg
-  in
-  let a = build [ ("x", 1); ("y", 2) ] in
-  let b = build [ ("y", 40); ("z", 5) ] in
-  let c = build [ ("x", 100) ] in
-  let totals regs =
-    List.filter_map
-      (fun (name, s) -> match s with M.Counter_v v -> Some (name, v) | _ -> None)
-      (M.to_alist (M.merge regs))
-  in
-  let expected = [ ("x", 101); ("y", 42); ("z", 5) ] in
-  Alcotest.(check (list (pair string int))) "abc" expected (totals [ a; b; c ]);
-  Alcotest.(check (list (pair string int))) "cba" expected (totals [ c; b; a ])
-
-let sharded_pool_deterministic () =
-  let items = List.init 100 (fun i -> i + 1) in
-  let collect jobs =
-    let sh = M.Sharded.create () in
-    Pool.with_pool ~jobs (fun pool ->
-        Pool.parallel_iter pool
-          (fun i ->
-            let reg = M.Sharded.local sh in
-            M.add (M.counter reg "sum") i;
-            M.vadd (M.vec reg "mod" ~size:8 ~label:(fun s -> Printf.sprintf "r=%d" s)) (i mod 8) 1)
-          items);
-    List.filter_map
-      (fun (name, s) -> match s with M.Counter_v v -> Some (name, v) | _ -> None)
-      (M.to_alist (M.Sharded.merged sh))
-  in
-  let serial = collect 1 in
-  Alcotest.(check (list (pair string int))) "serial total"
-    (List.init 8 (fun r ->
-         (* items 1..100 mod 8: residues 1..4 appear 13 times, the rest 12 *)
-         (Printf.sprintf "mod{r=%d}" r), if r >= 1 && r <= 4 then 13 else 12)
-    @ [ ("sum", 5050) ])
-    (List.sort compare serial);
-  Alcotest.(check (list (pair string int))) "4 jobs == serial" serial (collect 4);
-  Alcotest.(check (list (pair string int))) "7 jobs == serial" serial (collect 7)
 
 (* {1 Tracer} *)
 
@@ -310,27 +264,6 @@ let timeline_samples_run () =
   let _, last_v = List.nth hops_series.TL.samples (List.length hops_series.TL.samples - 1) in
   Alcotest.(check int) "final sample == stats hops" (Stats.hops r.P.stats) last_v
 
-let timeline_merge_sums () =
-  let mk samples =
-    let t = TL.create ~interval:10 () in
-    let v = ref 0 in
-    TL.register t "c" (fun () -> !v);
-    List.iter
-      (fun (ts, value) ->
-        v := value;
-        TL.tick t ~now:ts)
-      samples;
-    t
-  in
-  let a = mk [ (10, 1); (20, 2) ] in
-  let b = mk [ (10, 5); (30, 9) ] in
-  let merged = TL.merge [ a; b ] in
-  match TL.series merged with
-  | [ s ] ->
-    Alcotest.(check (list (pair int int))) "step-summed union"
-      [ (10, 6); (20, 7); (30, 11) ] s.TL.samples
-  | ss -> Alcotest.fail (Printf.sprintf "expected 1 merged series, got %d" (List.length ss))
-
 let timeline_bounded () =
   let t = TL.create ~capacity:3 ~interval:10 () in
   TL.register t "c" (fun () -> 1);
@@ -468,9 +401,8 @@ let span_exception_safe () =
   Alcotest.(check int) "span closed by exception path" 0 (Span.depth t);
   Alcotest.(check int) "span still recorded" 1 (Span.count t)
 
-(* Byte-identical span logs at any --jobs, two ways: the pipeline's own
-   phase spans (collector stays on the calling domain), and explicit
-   per-unit collectors merged in input order under [parallel_map]. *)
+(* Byte-identical pipeline phase span logs at any --jobs: the collector
+   stays on the calling domain. *)
 let span_deterministic_across_jobs () =
   List.iter
     (fun app ->
@@ -486,39 +418,8 @@ let span_deterministic_across_jobs () =
       in
       let p1 = pipeline 1 in
       Alcotest.(check string) (app ^ " pipeline spans 4 jobs == serial") p1 (pipeline 4);
-      Alcotest.(check string) (app ^ " pipeline spans 7 jobs == serial") p1 (pipeline 7);
-      let merged jobs =
-        Pool.with_pool ~jobs (fun pool ->
-            let parts =
-              Pool.parallel_map pool
-                (fun i ->
-                  let t = Span.create ~clock:(fun () -> 0.0) () in
-                  Span.with_span t (Printf.sprintf "unit-%d" i) (fun () ->
-                      Span.with_span ~cycles:i t "inner" (fun () -> ()));
-                  t)
-                [ 0; 1; 2; 3; 4; 5; 6; 7 ]
-            in
-            Json.to_string (Span.to_json ~wall:false (Span.merge parts)))
-      in
-      let m1 = merged 1 in
-      Alcotest.(check string) (app ^ " merged spans 4 jobs == serial") m1 (merged 4);
-      Alcotest.(check string) (app ^ " merged spans 7 jobs == serial") m1 (merged 7))
+      Alcotest.(check string) (app ^ " pipeline spans 7 jobs == serial") p1 (pipeline 7))
     [ "water"; "fft" ]
-
-let span_merge_rebases_ids () =
-  let make names =
-    let t = Span.create ~clock:(fun () -> 0.0) () in
-    List.iter (fun n -> Span.with_span t n (fun () -> ())) names;
-    t
-  in
-  let a = make [ "a1"; "a2" ] in
-  let b = make [ "b1" ] in
-  let m = Span.merge [ a; Span.none; b ] in
-  Alcotest.(check int) "merged count" 3 (Span.count m);
-  Alcotest.(check (list (pair string int)))
-    "ids rebased in input order"
-    [ ("a1", 0); ("a2", 1); ("b1", 2) ]
-    (List.map (fun (n, i, _, _) -> (n, i)) (span_fields m))
 
 let span_pipeline_phases () =
   let phases scheme kernel =
@@ -695,8 +596,6 @@ let tests =
         Alcotest.test_case "registry instruments" `Quick registry_instruments;
         Alcotest.test_case "same name same handle" `Quick registry_same_name_same_handle;
         Alcotest.test_case "disabled handles inert" `Quick disabled_inert;
-        Alcotest.test_case "merge counters commute" `Quick merge_counters_commute;
-        Alcotest.test_case "sharded pool deterministic" `Quick sharded_pool_deterministic;
         Alcotest.test_case "ring overflow" `Quick ring_overflow;
         Alcotest.test_case "chrome trace well-formed" `Quick trace_chrome_well_formed;
         Alcotest.test_case "jsonl lines parse" `Quick trace_jsonl_lines_parse;
@@ -707,7 +606,6 @@ let tests =
         Alcotest.test_case "ledger deterministic across jobs" `Quick
           ledger_output_deterministic_across_jobs;
         Alcotest.test_case "timeline samples a run" `Quick timeline_samples_run;
-        Alcotest.test_case "timeline merge sums" `Quick timeline_merge_sums;
         Alcotest.test_case "timeline bounded" `Quick timeline_bounded;
         Alcotest.test_case "observed run identical" `Quick observed_run_identical;
         Alcotest.test_case "observed run identical under pool" `Quick observed_run_identical_under_pool;
@@ -717,7 +615,6 @@ let tests =
         Alcotest.test_case "span disabled inert" `Quick span_disabled_inert;
         Alcotest.test_case "span exception safe" `Quick span_exception_safe;
         Alcotest.test_case "span deterministic across jobs" `Slow span_deterministic_across_jobs;
-        Alcotest.test_case "span merge rebases ids" `Quick span_merge_rebases_ids;
         Alcotest.test_case "span pipeline phases" `Quick span_pipeline_phases;
         Alcotest.test_case "span chrome containment" `Quick span_chrome_containment;
         Alcotest.test_case "prometheus exposition valid" `Quick prometheus_exposition_valid;

@@ -170,60 +170,6 @@ let replay_cost_model_shifts () =
   let rp = P.replay ~config:dear k r.P.emitted in
   Alcotest.(check bool) "dearer compute is slower" true (rp.P.rp_exec_time > r.P.exec_time)
 
-let batch_jobs () =
-  [
-    P.Job.make P.Default (water ());
-    P.Job.make partitioned (water ());
-    P.Job.make (P.Partitioned { P.partitioned_defaults with P.window = P.Fixed 2 }) (fft ());
-  ]
-
-let check_same_result label (a : P.result) (b : P.result) =
-  Alcotest.(check int) (label ^ ": exec") a.P.exec_time b.P.exec_time;
-  List.iter2
-    (fun (na, va) (nb, vb) ->
-      Alcotest.(check string) (label ^ ": sample") na nb;
-      Alcotest.(check int) (label ^ ": " ^ na) va vb)
-    (Ndp_sim.Stats.to_alist a.P.stats)
-    (Ndp_sim.Stats.to_alist b.P.stats)
-
-(* A batch must equal the corresponding solo runs, serially and at any
-   pool size — each job is an independent simulation. *)
-let batch_matches_solo_and_parallel () =
-  let solo =
-    List.map
-      (fun (j : P.Job.t) -> P.Job.run j)
-      (batch_jobs ())
-  in
-  let serial = P.run_batch (batch_jobs ()) in
-  let pooled =
-    Ndp_prelude.Pool.with_pool ~jobs:4 (fun pool -> P.run_batch ~pool (batch_jobs ()))
-  in
-  List.iter2 (check_same_result "serial") solo serial;
-  List.iter2 (check_same_result "pooled") solo pooled
-
-(* The Metrics.Sharded discipline: counter totals merged across shards are
-   the same whether the batch ran on one domain or several. *)
-let batch_sharded_metrics_deterministic () =
-  let counter_samples sh =
-    List.filter_map
-      (fun (name, s) ->
-        match s with Ndp_obs.Metrics.Counter_v v -> Some (name, v) | _ -> None)
-      (Ndp_obs.Metrics.to_alist (Ndp_obs.Metrics.Sharded.merged sh))
-  in
-  let sh_serial = Ndp_obs.Metrics.Sharded.create () in
-  ignore (P.run_batch ~metrics:sh_serial (batch_jobs ()));
-  let sh_pooled = Ndp_obs.Metrics.Sharded.create () in
-  ignore
-    (Ndp_prelude.Pool.with_pool ~jobs:4 (fun pool ->
-         P.run_batch ~pool ~metrics:sh_pooled (batch_jobs ())));
-  let a = counter_samples sh_serial and b = counter_samples sh_pooled in
-  Alcotest.(check int) "same sample count" (List.length a) (List.length b);
-  List.iter2
-    (fun (na, va) (nb, vb) ->
-      Alcotest.(check string) "same counter" na nb;
-      Alcotest.(check int) na va vb)
-    a b
-
 let tests =
   [
     ( "pipeline",
@@ -247,7 +193,5 @@ let tests =
         Alcotest.test_case "offload mix" `Quick offload_mix_nonempty;
         Alcotest.test_case "capture/replay identical" `Quick capture_replay_identical;
         Alcotest.test_case "replay cost model" `Quick replay_cost_model_shifts;
-        Alcotest.test_case "batch matches solo" `Slow batch_matches_solo_and_parallel;
-        Alcotest.test_case "batch sharded metrics" `Slow batch_sharded_metrics_deterministic;
       ] );
   ]

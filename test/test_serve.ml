@@ -341,6 +341,44 @@ let sweep_reuses_schedule () =
       let sf = Server.handle fresh sweep in
       Alcotest.(check string) "cold sweep body identical" s1.Server.body sf.Server.body)
 
+(* A batch is one independent Job.run per spec: the body is the same at
+   any pool size, and equals the solo runs' results in input order. *)
+let batch_equals_solo_runs () =
+  let spec app scheme = { (Protocol.default_spec ~app) with Protocol.scheme } in
+  let specs =
+    [
+      spec "water" "default";
+      spec "fft" "partitioned";
+      spec "resnet_block" "fused";
+      {
+        (spec "fft" "partitioned") with
+        Protocol.faults = "kill=2,slow=1x2.5,stall=9@0+20000";
+        fault_seed = Some 7;
+        repair = true;
+      };
+    ]
+  in
+  let solo =
+    List.map
+      (fun s ->
+        match Ndp_serve.Service.job_of_spec s with
+        | Ok job -> Ndp_serve.Service.result_json (Pipeline.Job.run job)
+        | Error _ -> Alcotest.failf "spec for %s refused" s.Protocol.app)
+      specs
+  in
+  let expected = RJ.to_string (RJ.Obj [ ("results", RJ.List solo) ]) in
+  List.iter
+    (fun jobs ->
+      let server = Server.create ~jobs () in
+      Fun.protect
+        ~finally:(fun () -> Server.shutdown server)
+        (fun () ->
+          let r = Server.handle server (Protocol.Batch specs) in
+          let ctx = Printf.sprintf "jobs=%d" jobs in
+          Alcotest.(check bool) (ctx ^ " ok") true r.Server.ok;
+          Alcotest.(check string) (ctx ^ " body == solo runs") expected r.Server.body))
+    [ 1; 4 ]
+
 (* One bad value per spec field the resolver reads, and per tweak: each
    is refused in band, uncached, with a structured body naming that field
    or tweak. A window below 1 is refused rather than clamped into an
@@ -376,6 +414,8 @@ let errors_reported_in_band () =
           ("cluster", { spec with Protocol.cluster = "torus" });
           ("memory", { spec with Protocol.memory = "tape" });
           ("faults", { spec with Protocol.faults = "bogus=1" });
+          ("faults", { spec with Protocol.faults = "slow=3xnan" });
+          ("faults", { spec with Protocol.faults = "mc=0xinf" });
           ("distance_factor", tweaked { no with Pipeline.distance_factor = -1.0 });
           ("l1_boost", tweaked { no with Pipeline.l1_boost = 2.0 });
           ("mc_overrides", tweaked { no with Pipeline.mc_overrides = [ (0, 999) ] });
@@ -659,6 +699,7 @@ let tests =
         Alcotest.test_case "cached replies byte-identical (suite x schemes)" `Slow
           cached_replies_byte_identical;
         Alcotest.test_case "sweep reuses the captured schedule" `Quick sweep_reuses_schedule;
+        Alcotest.test_case "batch equals solo runs" `Slow batch_equals_solo_runs;
         Alcotest.test_case "errors reported in band" `Quick errors_reported_in_band;
         Alcotest.test_case "replies are traced" `Quick replies_are_traced;
         Alcotest.test_case "metrics-text exposition" `Quick metrics_text_exposition;
