@@ -110,9 +110,9 @@ module Args = struct
       & opt (some int) None
       & info [ "j"; "jobs" ]
           ~doc:
-            "Number of domains for parallel work (window preprocessing; $(b,check)'s \
-             validation cells). Default: \\$(b,NDP_JOBS) or the recommended domain count. \
-             Output is identical at any job count.")
+            "Number of domains for parallel work ($(b,check)'s validation cells; \
+             $(b,serve)'s batch and sweep fan-out). Default: \\$(b,NDP_JOBS) or the \
+             recommended domain count. Output is identical at any job count.")
 
   let out_file =
     Arg.(
@@ -272,26 +272,17 @@ let with_job ?fuse_capacity spec f =
 (* ------------------------------------------------------------------ *)
 (* run / compare                                                       *)
 
-(* Run [f] with a pool of the requested size, or without one when --jobs
-   is absent (the pipeline then stays serial). *)
-let with_jobs jobs f =
-  match jobs with
-  | None -> f None
-  | Some j -> Ndp_prelude.Pool.with_pool ~jobs:(max 1 j) (fun p -> f (Some p))
-
-let run_act spec fuse_capacity metrics format jobs =
+let run_act spec fuse_capacity metrics format =
   with_job ?fuse_capacity spec @@ fun job ->
-  with_jobs jobs @@ fun pool ->
-  let o = Service.run ?pool ~metrics job in
+  let o = Service.run ~metrics job in
   print_endline (Render.output format ~human:o.Service.human o.Service.doc);
   `Ok ()
 
-let compare_act spec metrics format jobs =
+let compare_act spec metrics format =
   with_job { spec with Protocol.scheme = "default" } @@ fun default_job ->
   with_job spec @@ fun job ->
-  with_jobs jobs @@ fun pool ->
-  let od = Service.run ?pool ~metrics default_job in
-  let oo = Service.run ?pool ~metrics job in
+  let od = Service.run ~metrics default_job in
+  let oo = Service.run ~metrics job in
   let d = od.Service.result and o = oo.Service.result in
   let imp base opt = 100.0 *. float_of_int (base - opt) /. float_of_int (max 1 base) in
   let exec_imp = imp d.Pipeline.exec_time o.Pipeline.exec_time in
@@ -361,11 +352,10 @@ let link_table reg =
     (Metrics.to_alist reg);
   Ndp_prelude.Table.render t
 
-let stats_act spec format jobs =
+let stats_act spec format =
   with_job spec @@ fun job ->
-  with_jobs jobs @@ fun pool ->
   let obs = Ndp_obs.Sink.create ~metrics:true ~trace:false () in
-  let r = Pipeline.Job.run ?pool ~obs job in
+  let r = Pipeline.Job.run ~obs job in
   let reg = obs.Ndp_obs.Sink.metrics in
   let n = Ndp_noc.Mesh.size (Ndp_sim.Config.mesh job.Pipeline.Job.config) in
   let doc =
@@ -398,11 +388,11 @@ module Plan = Ndp_fault.Plan
    3. under --repair, nodes the plan avoids end the run with zero busy
       cycles (every subcomputation was remapped off them);
    4. a non-empty plan surfaces its fault.* instruments in the registry. *)
-let inject_selfcheck pool spec (job : Pipeline.Job.t) (o : Service.inject_outcome) =
+let inject_selfcheck spec (job : Pipeline.Job.t) (o : Service.inject_outcome) =
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
   let r = o.Service.i_result and plan = o.Service.i_plan in
-  let rerun = Pipeline.Job.run ?pool (Result.get_ok (Service.job_of_spec spec)) in
+  let rerun = Pipeline.Job.run (Result.get_ok (Service.job_of_spec spec)) in
   if not (Stats.equal r.Pipeline.stats rerun.Pipeline.stats) then
     fail "re-run with the same seed changed the statistics";
   if r.Pipeline.exec_time <> rerun.Pipeline.exec_time then
@@ -410,7 +400,7 @@ let inject_selfcheck pool spec (job : Pipeline.Job.t) (o : Service.inject_outcom
       rerun.Pipeline.exec_time;
   if Plan.is_empty plan then begin
     let bare =
-      Pipeline.Job.run ?pool { job with Pipeline.Job.faults = None; repair = false }
+      Pipeline.Job.run { job with Pipeline.Job.faults = None; repair = false }
     in
     if not (Stats.equal r.Pipeline.stats bare.Pipeline.stats) then
       fail "an empty fault plan changed the statistics vs a plain run"
@@ -437,12 +427,11 @@ let inject_selfcheck pool spec (job : Pipeline.Job.t) (o : Service.inject_outcom
     List.iter (Printf.eprintf "inject selfcheck: %s\n") (List.rev fs);
     exit 1
 
-let inject_act spec format selfcheck jobs =
+let inject_act spec format selfcheck =
   with_job spec @@ fun job ->
-  with_jobs jobs @@ fun pool ->
-  let o = Service.inject ?pool ~spec:spec.Protocol.faults job in
+  let o = Service.inject ~spec:spec.Protocol.faults job in
   print_endline (Render.output format ~human:o.Service.i_human o.Service.i_doc);
-  if selfcheck then inject_selfcheck pool spec job o;
+  if selfcheck then inject_selfcheck spec job o;
   `Ok ()
 
 (* ------------------------------------------------------------------ *)
@@ -484,11 +473,10 @@ let trace_selfcheck tracer (r : Pipeline.result) =
     List.iter (Printf.eprintf "trace selfcheck: %s\n") (List.rev fs);
     exit 1
 
-let trace_act spec out format selfcheck jobs =
+let trace_act spec out format selfcheck =
   with_job spec @@ fun job ->
-  with_jobs jobs @@ fun pool ->
   let obs = Ndp_obs.Sink.create ~metrics:true ~trace:true () in
-  let r = Pipeline.Job.run ?pool ~obs job in
+  let r = Pipeline.Job.run ~obs job in
   let tracer = obs.Ndp_obs.Sink.trace in
   let payload =
     match format with
@@ -510,12 +498,11 @@ let trace_act spec out format selfcheck jobs =
 (* ------------------------------------------------------------------ *)
 (* profile: movement attribution ledger + counter timeline             *)
 
-let profile_act spec interval top out spans format jobs =
+let profile_act spec interval top out spans format =
   with_job spec @@ fun job ->
-  with_jobs jobs @@ fun pool ->
   let want_trace = out <> "" in
   let sp = if spans then Ndp_obs.Span.create () else Ndp_obs.Span.none in
-  let o = Service.profile ?pool ~trace:want_trace ~spans:sp ~interval ~top job in
+  let o = Service.profile ~trace:want_trace ~spans:sp ~interval ~top job in
   let obs = o.Service.p_sink in
   let timeline = obs.Ndp_obs.Sink.timeline in
   if want_trace then begin
@@ -560,17 +547,16 @@ let profile_act spec interval top out spans format jobs =
 (* ------------------------------------------------------------------ *)
 (* analyze: static cost table reconciled against a measured run        *)
 
-let analyze_act spec fuse_capacity fusion threshold format jobs =
+let analyze_act spec fuse_capacity fusion threshold format =
   with_job ?fuse_capacity spec @@ fun job ->
-  with_jobs jobs @@ fun pool ->
   if fusion then begin
     (* The decision table: [analyze_fusion] forces the fused/unfused pair
        itself, so --fusion works with or without --fuse. *)
-    let o = Service.analyze_fusion ?pool job in
+    let o = Service.analyze_fusion job in
     print_endline (Render.output format ~human:o.Service.f_human o.Service.f_doc)
   end
   else begin
-    let o = Service.analyze ?pool ~threshold job in
+    let o = Service.analyze ~threshold job in
     print_endline (Render.output format ~human:o.Service.a_human o.Service.a_doc);
     if not o.Service.a_within then begin
       Printf.eprintf
@@ -942,7 +928,7 @@ let commands =
         Term.(
           ret
             (const run_act $ Args.spec ~fuse:Args.fuse Args.app $ Args.fuse_capacity
-           $ Args.metrics $ Args.format $ Args.jobs));
+           $ Args.metrics $ Args.format));
     };
     {
       name = "compare";
@@ -952,13 +938,13 @@ let commands =
           ret
             (const compare_act
             $ Args.spec ~scheme:(const "partitioned") ~fuse:Args.fuse Args.app
-            $ Args.metrics $ Args.format $ Args.jobs));
+            $ Args.metrics $ Args.format));
     };
     {
       name = "stats";
       summary = "Simulate with metrics enabled and print per-node/per-link breakdowns.";
       term =
-        Term.(ret (const stats_act $ Args.spec ~fuse:Args.fuse Args.app $ Args.format $ Args.jobs));
+        Term.(ret (const stats_act $ Args.spec ~fuse:Args.fuse Args.app $ Args.format));
     };
     {
       name = "inject";
@@ -971,7 +957,7 @@ let commands =
             (const inject_act
             $ Args.spec ~faults:Args.faults ~fault_seed:Args.fault_seed ~repair:Args.repair
                 Args.app
-            $ Args.format $ Args.selfcheck $ Args.jobs));
+            $ Args.format $ Args.selfcheck));
     };
     {
       name = "trace";
@@ -979,8 +965,7 @@ let commands =
       term =
         Term.(
           ret
-            (const trace_act $ Args.spec Args.app $ Args.out_file $ Args.format $ Args.selfcheck
-           $ Args.jobs));
+            (const trace_act $ Args.spec Args.app $ Args.out_file $ Args.format $ Args.selfcheck));
     };
     {
       name = "profile";
@@ -992,7 +977,7 @@ let commands =
         Term.(
           ret
             (const profile_act $ Args.spec Args.app $ Args.interval $ Args.top $ Args.profile_out
-           $ Args.spans $ Args.format $ Args.jobs));
+           $ Args.spans $ Args.format));
     };
     {
       name = "analyze";
@@ -1005,7 +990,7 @@ let commands =
         Term.(
           ret
             (const analyze_act $ Args.spec ~fuse:Args.fuse Args.app $ Args.fuse_capacity
-           $ Args.fusion $ Args.threshold $ Args.format $ Args.jobs));
+           $ Args.fusion $ Args.threshold $ Args.format));
     };
     { name = "list"; summary = "List the application kernels."; term = Term.(const list_act $ const ()) };
     {

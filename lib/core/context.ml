@@ -37,6 +37,8 @@ type t = {
   scratch_guf : Ndp_graph.Union_find.t; (* splitter scratch, mesh-sized *)
   mutable scratch_mst : Ndp_graph.Union_find.t; (* splitter scratch, grown on demand *)
   scratch_items : (int, location list) Hashtbl.t; (* splitter scratch, node -> items *)
+  scratch_marks : bool array; (* splitter/scheduler scratch, node -> marked *)
+  scratch_alts : int array; (* scheduler scratch, the exec-node candidates *)
   mutable scratch_cands : int array; (* splitter scratch, per-level MST candidates *)
   loads : int array;
   mutable loads_total : int; (* running sum of [loads], for [balanced] *)
@@ -58,6 +60,7 @@ let scratch_items_size = 8
 let create ~machine ~compiler_resolve ~runtime_resolve ~arrays ?repair ~options () =
   let config = Ndp_sim.Machine.config machine in
   let map = Ndp_sim.Config.addr_map config in
+  let nodes = Ndp_noc.Mesh.size (Ndp_sim.Machine.mesh machine) in
   {
     machine;
     config;
@@ -68,11 +71,13 @@ let create ~machine ~compiler_resolve ~runtime_resolve ~arrays ?repair ~options 
     runtime_resolve;
     arrays;
     decls = Array.of_list arrays;
-    scratch_guf = Ndp_graph.Union_find.create (Ndp_noc.Mesh.size (Ndp_sim.Machine.mesh machine));
+    scratch_guf = Ndp_graph.Union_find.create nodes;
     scratch_mst = Ndp_graph.Union_find.create 16;
     scratch_items = Hashtbl.create scratch_items_size;
+    scratch_marks = Array.make nodes false;
+    scratch_alts = Array.make nodes 0;
     scratch_cands = [||];
-    loads = Array.make (Ndp_noc.Mesh.size (Ndp_sim.Machine.mesh machine)) 0;
+    loads = Array.make nodes 0;
     loads_total = 0;
     var2node = Hashtbl.create 256;
     var2node_fifo = Queue.create ();
@@ -121,8 +126,9 @@ let bytes_of t (r : Ndp_ir.Reference.t) =
 
 (* Splitter scratch: one mesh-sized union-find reused across [split]
    calls, a second grown on demand for the per-level MSTs, the per-level
-   candidate array, and the node -> items table. Forked contexts get
-   fresh instances, so pooled estimation never shares them. *)
+   candidate array, the node -> items table, and node marks and
+   exec-node candidates. Forked contexts get fresh instances, so a fork
+   never disturbs its parent's. *)
 let scratch_guf t =
   Ndp_graph.Union_find.reset t.scratch_guf;
   t.scratch_guf
@@ -169,8 +175,8 @@ let note_cached t ~line ~node =
 
 let cached_node t ~line =
   match Hashtbl.find t.var2node line with
-  | exception Not_found -> None
-  | node, stamp -> if t.stmt_clock - stamp <= reuse_horizon then Some node else None
+  | exception Not_found -> -1
+  | node, stamp -> if t.stmt_clock - stamp <= reuse_horizon then node else -1
 
 let add_load t ~node ~cost =
   t.loads.(node) <- t.loads.(node) + cost;
@@ -193,6 +199,8 @@ let fork_for_estimate t =
     scratch_guf = Ndp_graph.Union_find.create (Ndp_graph.Union_find.capacity t.scratch_guf);
     scratch_mst = Ndp_graph.Union_find.create 16;
     scratch_items = Hashtbl.create scratch_items_size;
+    scratch_marks = Array.make (Array.length t.scratch_marks) false;
+    scratch_alts = Array.make (Array.length t.scratch_alts) 0;
     scratch_cands = [||];
     loads = Array.copy t.loads;
     var2node = Hashtbl.copy t.var2node;

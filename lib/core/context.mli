@@ -38,6 +38,10 @@ type t = {
   scratch_guf : Ndp_graph.Union_find.t; (** splitter scratch, mesh-sized *)
   mutable scratch_mst : Ndp_graph.Union_find.t; (** splitter scratch, grown on demand *)
   scratch_items : (int, location list) Hashtbl.t; (** splitter scratch, node -> items *)
+  scratch_marks : bool array;
+      (** splitter and scheduler scratch, node -> marked, for
+          deduplicating node sets; all [false] between uses *)
+  scratch_alts : int array; (** scheduler scratch, the exec-node candidates *)
   mutable scratch_cands : int array; (** splitter scratch, per-level MST candidates *)
   loads : int array; (** accumulated op cost per node, for balancing *)
   mutable loads_total : int; (** running sum of [loads] *)
@@ -102,8 +106,9 @@ val note_cached : t -> line:int -> node:int -> unit
 (** Record that a cache line was fetched into a node's L1, evicting the
     oldest entry when the modelled L1 capacity is exceeded. *)
 
-val cached_node : t -> line:int -> int option
-(** A placement is only trusted for a bounded number of subsequent
+val cached_node : t -> line:int -> int
+(** The node holding [line] in its L1, or -1 when none is known. A
+    placement is only trusted for a bounded number of subsequent
     statements ([reuse_horizon]) — the compile-time model of L1 pollution
     that makes very large windows unattractive (Section 4.4). *)
 

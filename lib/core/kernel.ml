@@ -20,20 +20,20 @@ let inspector t =
    reference resolution, so the name lookup must be cheap. Declaration
    lists are short and references reuse the parser's interned name
    strings, so a linear scan with a physical-equality fast path beats
-   both the old repeated [Array_decl.find] and a string-hashing table. *)
+   both the old repeated [Array_decl.find] and a string-hashing table.
+   The scan is a top-level function, so a resolution allocates no
+   closure. *)
+let rec find_address decls name i j =
+  if j >= Array.length decls then raise Not_found
+  else
+    let d = decls.(j) in
+    if d.Array_decl.name == name || String.equal d.Array_decl.name name then
+      Array_decl.address d i
+    else find_address decls name i (j + 1)
+
 let address_of t =
   let decls = Array.of_list t.program.Loop.arrays in
-  let n = Array.length decls in
-  fun name i ->
-    let rec find j =
-      if j >= n then raise Not_found
-      else
-        let d = decls.(j) in
-        if d.Array_decl.name == name || String.equal d.Array_decl.name name then
-          Array_decl.address d i
-        else find (j + 1)
-    in
-    find 0
+  fun name i -> find_address decls name i 0
 
 let hot_ranges t ~budget =
   let add (used, acc) name =

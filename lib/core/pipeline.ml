@@ -183,10 +183,10 @@ let apply_tweaks tweaks (task : Task.t) =
 
 let line_of config va = va / config.Config.line_bytes
 
-let window_size ?pool ~config ctx policy metas =
+let window_size ~config ctx policy metas =
   match policy with
   | Fixed k -> max 1 k
-  | Adaptive | Analytic -> Window.choose_size_analytic ?pool ctx metas ~max:config.Config.max_window
+  | Adaptive | Analytic -> Window.choose_size_analytic ctx metas ~max:config.Config.max_window
 
 (* The record request behind every entry point: one value carries every
    input of a compile+simulate outcome, so jobs can be hashed
@@ -207,12 +207,12 @@ let job_make ?(config = Config.default) ?(tweaks = no_tweaks) ?faults ?(repair =
     ?(validate = false) ?(capture = false) scheme kernel =
   { scheme; kernel; config; tweaks; faults; repair; validate; capture }
 
-let run_job ?pool ?(obs = Ndp_obs.Sink.none) (j : job) =
+let run_job ?(obs = Ndp_obs.Sink.none) (j : job) =
   let { scheme; kernel; config; tweaks; faults; repair; validate; capture } = j in
   let repair_plan = if repair then faults else None in
-  (* Phase spans live on the calling domain only: window-size estimation
-     and batch runs fan work across the pool, so per-phase brackets here
-     stay race-free and deterministic at any [--jobs]. *)
+  (* A job runs on one domain from start to finish (batch runs fan whole
+     jobs across a pool), so per-phase brackets here stay race-free and
+     deterministic at any [--jobs]. *)
   let spans = obs.Ndp_obs.Sink.spans in
   let sp_parse = Ndp_obs.Span.enter spans "parse" in
   let ctx = make_context ~config ~tweaks ~obs ?faults ?repair:repair_plan scheme kernel in
@@ -360,7 +360,7 @@ let run_job ?pool ?(obs = Ndp_obs.Sink.none) (j : job) =
       (fun ((nest : Loop.nest), metas) ->
         let sp_w = Ndp_obs.Span.enter spans "window" in
         Ndp_obs.Span.attr_str spans sp_w "nest" nest.Loop.nest_name;
-        let w = window_size ?pool ~config ctx opts.window metas in
+        let w = window_size ~config ctx opts.window metas in
         Ndp_obs.Span.attr_int spans sp_w "w" w;
         Ndp_obs.Span.exit spans sp_w;
         windows_chosen := (nest.Loop.nest_name, w) :: !windows_chosen;
@@ -397,10 +397,11 @@ let run_job ?pool ?(obs = Ndp_obs.Sink.none) (j : job) =
         let nest_tasks = ref [] in
         (* One dependence analysis per nest, sliced per window: a pair
            inside a chunk is exactly what analyzing the chunk alone finds
-           (the analysis is pairwise — see [Window.estimate_sliced]), and
-           [analyze] emits deps in ascending (src, dst) order, so each
-           chunk's slice is one pointer walk instead of a re-analysis that
-           re-resolves every reference in the window. [Window.compile]
+           (the analysis is pairwise: each dependence is decided by its
+           two endpoints alone), and [analyze] emits deps in ascending
+           (src, dst) order, so each chunk's slice is one pointer walk
+           instead of a re-analysis that re-resolves every reference in
+           the window. [Window.compile]
            reads only in-chunk pairs, so the analysis is banded to the
            window — except under fusion, whose first-kill rule needs every
            later re-write in view. Fusion and fault repair do not compose:

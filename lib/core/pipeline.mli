@@ -139,14 +139,15 @@ module Job : sig
   (** Defaults: default config, no tweaks, no faults, no repair, no
       validation traces, no capture. *)
 
-  val run : ?pool:Ndp_prelude.Pool.t -> ?obs:Ndp_obs.Sink.t -> t -> result
-  (** Execute one job.
+  val run : ?obs:Ndp_obs.Sink.t -> t -> result
+  (** Execute one job, start to finish on the calling domain. A job owns
+      its machine, context and engine, so jobs run concurrently (say,
+      through {!Ndp_prelude.Pool.parallel_map}) share no mutable state and
+      each result is bit-identical to a serial run's.
 
       [validate] additionally records a {!schedule_trace} per emitted
       window (or per nest under the default scheme) so the schedule can
       be re-checked against ground-truth dependences after the run.
-      [pool] parallelizes the window sizer's tie-break re-scoring across
-      candidate sizes; the result is bit-identical with and without it.
       [obs] threads an observability sink through the machine and engine
       (per-link, cache, core metric families plus task/message trace
       events) and records each nest's chosen window size as a
@@ -167,7 +168,6 @@ module Job : sig
 end
 
 val window_size :
-  ?pool:Ndp_prelude.Pool.t ->
   config:Ndp_sim.Config.t ->
   Context.t ->
   window_policy ->

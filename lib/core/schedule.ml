@@ -16,74 +16,116 @@ type upward =
   | From_task of { task : int; bytes : int; level : int }
   | Deferred of Location.t
 
-let take k list =
-  let rec go k acc = function
-    | rest when k = 0 -> (List.rev acc, rest)
-    | [] -> (List.rev acc, [])
-    | x :: rest -> go (k - 1) (x :: acc) rest
-  in
-  go k [] list
+(* The per-item helpers below are top-level recursions rather than
+   closures over the statement: they run for every item of every
+   statement instance, and a local closure is an allocation per call. *)
 
-let load_operand (ctx : Context.t) env (loc : Location.t) =
-  let va =
-    match loc.Location.va with
-    | Some va -> Some va
-    | None -> ctx.runtime_resolve loc.Location.ref_ env
-  in
-  Option.map (fun va -> Task.Load { va; bytes = loc.Location.bytes }) va
+(* [Load] operands for [locs], in order, in front of [tail]; an item whose
+   address resolves neither at compile time nor at run time loads
+   nothing. *)
+let rec load_operands (ctx : Context.t) env tail = function
+  | [] -> tail
+  | (loc : Location.t) :: rest -> (
+    let va =
+      match loc.Location.va with
+      | Some _ as va -> va
+      | None -> ctx.runtime_resolve loc.Location.ref_ env
+    in
+    let rest = load_operands ctx env tail rest in
+    match va with
+    | Some va -> Task.Load { va; bytes = loc.Location.bytes } :: rest
+    | None -> rest)
 
-(* Pick the node that executes a combine: the MST parent node first (the
-   minimum-movement choice), then its children, skipping overloaded nodes
-   per the 10% rule. The root combine is pinned to the store node. *)
+let rec stall_cycles (ctx : Context.t) ~node acc = function
+  | [] -> acc
+  | (loc : Location.t) :: rest ->
+    let c = ctx.Context.config in
+    let latency =
+      if loc.Location.in_l1 && loc.Location.node = node then c.Ndp_sim.Config.l1_hit_cycles
+      else begin
+        let travel =
+          2 * Context.distance ctx node loc.Location.node * c.Ndp_sim.Config.hop_cycles
+        in
+        let service =
+          match loc.Location.predicted_hit with
+          | Some false -> c.Ndp_sim.Config.ddr_cycles
+          | Some true | None -> c.Ndp_sim.Config.l2_hit_cycles
+        in
+        travel + service + c.Ndp_sim.Config.l1_hit_cycles
+      end
+    in
+    stall_cycles ctx ~node (acc + latency) rest
+
 (* Expected core occupancy of running a combine at [node] — the same
    formula the engine charges, evaluated with the compiler's location and
    hit/miss knowledge, so the balance veto tracks reality. *)
 let expected_occupancy (ctx : Context.t) ~node ~ops_cost ~items =
   let c = ctx.Context.config in
-  let latency (loc : Location.t) =
-    if loc.Location.in_l1 && loc.Location.node = node then c.Ndp_sim.Config.l1_hit_cycles
-    else begin
-      let travel = 2 * Context.distance ctx node loc.Location.node * c.Ndp_sim.Config.hop_cycles in
-      let service =
-        match loc.Location.predicted_hit with
-        | Some false -> c.Ndp_sim.Config.ddr_cycles
-        | Some true | None -> c.Ndp_sim.Config.l2_hit_cycles
-      in
-      travel + service + c.Ndp_sim.Config.l1_hit_cycles
-    end
-  in
-  let stall = List.fold_left (fun acc l -> acc + latency l) 0 items in
+  let stall = stall_cycles ctx ~node 0 items in
   (List.length items * c.Ndp_sim.Config.load_issue_cycles)
   + (ops_cost * c.Ndp_sim.Config.op_cycles)
   + int_of_float ((1.0 -. c.Ndp_sim.Config.mlp_overlap) *. float_of_int stall)
 
-let choose_exec_node (ctx : Context.t) ~pinned ~preferred ~alternatives ~ops_cost ~items =
-  let occ node = expected_occupancy ctx ~node ~ops_cost ~items in
-  if pinned then (preferred, occ preferred)
-  else begin
-    let candidates =
-      preferred
-      :: List.sort (fun a b -> compare ctx.Context.loads.(a) ctx.Context.loads.(b)) alternatives
-    in
-    (* Under repair, prefer healthy hosts outright; if every candidate is
-       avoided the final repair sweep will remap the task. *)
-    let candidates =
-      match List.filter (fun n -> not (Context.avoided ctx n)) candidates with
-      | [] -> candidates
-      | healthy -> healthy
-    in
-    (* Occupancy is pure in the candidate, so price each one once: the
-       balance scan and the fallback minimum below both read the cache
-       instead of re-walking the item list per comparison. *)
-    let priced = List.map (fun n -> (n, occ n)) candidates in
-    match List.find_opt (fun (n, o) -> Context.balanced ctx ~node:n ~cost:o) priced with
-    | Some hit -> hit
-    | None ->
-      List.fold_left
-        (fun ((bn, bo) as best) ((n, o) as cand) ->
-          if ctx.Context.loads.(n) + o < ctx.Context.loads.(bn) + bo then cand else best)
-        (List.hd priced) priced
-  end
+(* The alternatives to [vertex] as exec node, gathered into
+   [ctx.scratch_alts.(0 .. n-1)]; returns [n]. "Skips this node and moves
+   to the next one" (4.5): the result travels toward the parent anyway,
+   so every node on the mesh route to the parent (the shared per-mesh
+   route table) can host the combine without adding a single link of
+   movement; the children are equally free. Each node once, ascending
+   through the context's node marks, insertion-sorted stably by load. *)
+let alternatives (ctx : Context.t) tree vertex children =
+  let marks = ctx.Context.scratch_marks and alts = ctx.Context.scratch_alts in
+  let loads = ctx.Context.loads in
+  (match Tree.parent tree vertex with
+  | None -> ()
+  | Some parent ->
+    let route = Ndp_noc.Mesh.route_nodes (Context.mesh ctx) ~src:vertex ~dst:parent in
+    for i = 0 to Array.length route - 1 do
+      marks.(route.(i)) <- true
+    done);
+  List.iter (fun c -> marks.(c) <- true) children;
+  let n = ref 0 in
+  for node = 0 to Array.length marks - 1 do
+    if marks.(node) then begin
+      marks.(node) <- false;
+      let j = ref !n in
+      while !j > 0 && loads.(alts.(!j - 1)) > loads.(node) do
+        alts.(!j) <- alts.(!j - 1);
+        decr j
+      done;
+      alts.(!j) <- node;
+      incr n
+    end
+  done;
+  !n
+
+(* Pick the node that executes a combine among the MST vertex itself (the
+   minimum-movement choice) and the [n] gathered alternatives, skipping
+   overloaded nodes per the 10% rule: the first balanced candidate, else
+   the first with the least load plus occupancy, priced in one pass that
+   stops at the first balanced one. The root combine is pinned to the
+   store node and never comes here. Under repair, healthy hosts are
+   preferred outright; if every candidate is avoided the final repair
+   sweep will remap the task. *)
+let choose_exec_node (ctx : Context.t) ~preferred ~alternatives:n ~ops_cost ~items =
+  let node k = if k = 0 then preferred else ctx.Context.scratch_alts.(k - 1) in
+  let rec any_healthy k = k <= n && ((not (Context.avoided ctx (node k))) || any_healthy (k + 1)) in
+  let healthy_only = ctx.Context.repair <> None && any_healthy 0 in
+  let rec pick k best best_cost =
+    if k > n then (best, best_cost)
+    else begin
+      let v = node k in
+      if healthy_only && Context.avoided ctx v then pick (k + 1) best best_cost
+      else begin
+        let o = expected_occupancy ctx ~node:v ~ops_cost ~items in
+        if Context.balanced ctx ~node:v ~cost:o then (v, o)
+        else if best < 0 || ctx.Context.loads.(v) + o < ctx.Context.loads.(best) + best_cost then
+          pick (k + 1) v o
+        else pick (k + 1) best best_cost
+      end
+    end
+  in
+  pick 0 (-1) 0
 
 (* The state of one [schedule] call, in one record rather than a ref and
    a closure per accumulator: this runs once per statement instance. *)
@@ -100,10 +142,21 @@ type state = {
   mutable offload : Task.op_mix;
 }
 
-let draw st k =
-  let taken, rest = take k st.ops_pool in
-  st.ops_pool <- rest;
-  taken
+(* The first [k] ops of the pool, which keeps the rest. *)
+let rec draw_into st k acc =
+  match st.ops_pool with
+  | op :: rest when k > 0 ->
+    st.ops_pool <- rest;
+    draw_into st (k - 1) (op :: acc)
+  | _ -> List.rev acc
+
+let draw st k = draw_into st k []
+
+(* Every op left: the final combine's. *)
+let draw_all st =
+  let ops = st.ops_pool in
+  st.ops_pool <- [];
+  ops
 
 let rec items_at node = function
   | [] -> []
@@ -130,8 +183,8 @@ let emit st ~node ~ops ~operands ~store ~label ~level ~bcost =
 let single_node_schedule st node : t =
   let ctx = st.ctx in
   let locs = items_at node st.split.Splitter.items_at in
-  let operands = List.filter_map (load_operand ctx st.env) locs in
-  let final_ops = draw st (List.length st.ops_pool) in
+  let operands = load_operands ctx st.env [] locs in
+  let final_ops = draw_all st in
   let bcost = expected_occupancy ctx ~node ~ops_cost:(Task.cost_of_ops final_ops) ~items:locs in
   let task =
     emit st ~node ~ops:final_ops ~operands ~store:st.split.Splitter.store
@@ -148,33 +201,37 @@ let single_node_schedule st node : t =
     placements = st.placements;
   }
 
+let rec deferred_locs = function
+  | [] -> []
+  | Deferred loc :: rest -> loc :: deferred_locs rest
+  | From_task _ :: rest -> deferred_locs rest
+
+let rec result_operands = function
+  | [] -> []
+  | From_task { task; bytes; level = _ } :: rest ->
+    Task.Result { producer = task; bytes } :: result_operands rest
+  | Deferred _ :: rest -> result_operands rest
+
+let rec producer_level acc = function
+  | [] -> acc
+  | From_task { level; _ } :: rest -> producer_level (max acc level) rest
+  | Deferred _ :: rest -> producer_level acc rest
+
 (* Schedule the subtree under [vertex], children first. [bytes] is the
    size of a forwarded partial result: a single scalar, not a line. *)
 let rec visit st tree ~bytes vertex =
   let ctx = st.ctx and env = st.env and split = st.split in
   let children = Tree.children tree vertex in
-  let child_results = List.map (visit st tree ~bytes) children in
+  let child_results = visit_all st tree ~bytes children in
   let locs = items_at vertex split.Splitter.items_at in
   let is_root = vertex = split.Splitter.store_node in
-  let local_loads = List.filter_map (load_operand ctx env) locs in
-  let deferred_loads =
-    List.filter_map
-      (function Deferred loc -> load_operand ctx env loc | From_task _ -> None)
-      child_results
-  in
-  let deferred_locs =
-    List.filter_map (function Deferred loc -> Some loc | From_task _ -> None) child_results
-  in
-  let result_ops =
-    List.filter_map
-      (function
-        | From_task { task; bytes; level = _ } -> Some (Task.Result { producer = task; bytes })
-        | Deferred _ -> None)
-      child_results
-  in
-  let inputs = List.length local_loads + List.length deferred_loads + List.length result_ops in
+  let deferred = deferred_locs child_results in
+  let result_ops = result_operands child_results in
+  (* Own loads, then the deferred children's, then the partial results. *)
+  let operands = load_operands ctx env (load_operands ctx env result_ops deferred) locs in
+  let inputs = List.length operands in
   (* Every item this vertex consumes, its own first. *)
-  let consumed = match deferred_locs with [] -> locs | _ -> locs @ deferred_locs in
+  let consumed = match deferred with [] -> locs | _ -> locs @ deferred in
   if (not is_root) && inputs = 1 && result_ops = [] then begin
     (* A lone data item: no computation here; the parent fetches it
        directly (the leaf-node case of the MST walk). *)
@@ -183,32 +240,16 @@ let rec visit st tree ~bytes vertex =
     | _ -> assert false
   end
   else begin
-    let ops = if is_root then draw st (List.length st.ops_pool) else draw st (max 0 (inputs - 1)) in
-    let alternatives =
-      (* "Skips this node and moves to the next one" (4.5): the result
-         travels toward the parent anyway, so every node on the mesh
-         route to the parent can host the combine without adding a
-         single link of movement; the children are equally free. *)
-      match Tree.parent tree vertex with
-      | None -> List.sort_uniq compare children
-      | Some parent ->
-        (* The shared per-mesh route table; same node sequence
-           [xy_route] yields, with no per-visit route allocation. *)
-        let nodes = Ndp_noc.Mesh.route_nodes (Context.mesh ctx) ~src:vertex ~dst:parent in
-        List.sort_uniq compare (Array.fold_right (fun n acc -> n :: acc) nodes children)
-    in
+    let ops = if is_root then draw_all st else draw st (inputs - 1) in
+    let ops_cost = Task.cost_of_ops ops in
     let exec, bcost =
-      choose_exec_node ctx ~pinned:is_root ~preferred:vertex ~alternatives
-        ~ops_cost:(Task.cost_of_ops ops) ~items:consumed
+      if is_root then (vertex, expected_occupancy ctx ~node:vertex ~ops_cost ~items:consumed)
+      else
+        choose_exec_node ctx ~preferred:vertex
+          ~alternatives:(alternatives ctx tree vertex children)
+          ~ops_cost ~items:consumed
     in
-    let level =
-      let producer_level acc = function
-        | From_task { level; _ } -> max acc level
-        | Deferred _ -> acc
-      in
-      1 + List.fold_left producer_level 0 child_results
-    in
-    let operands = local_loads @ deferred_loads @ result_ops in
+    let level = 1 + producer_level 0 child_results in
     let store = if is_root then split.Splitter.store else None in
     let label =
       if is_root then "g" ^ string_of_int st.group ^ ":final"
@@ -225,6 +266,12 @@ let rec visit st tree ~bytes vertex =
         result_ops;
     From_task { task = task.Task.id; bytes; level }
   end
+
+and visit_all st tree ~bytes = function
+  | [] -> []
+  | v :: rest ->
+    let r = visit st tree ~bytes v in
+    r :: visit_all st tree ~bytes rest
 
 let schedule (ctx : Context.t) ~group (split : Splitter.t) stmt env : t =
   let st =

@@ -50,8 +50,9 @@ let min_pair ctx a b =
    physical nodes: Algorithm 1 pools the per-level MST edges into one
    MSTedges set, so an edge whose endpoints are already physically
    connected (by a sibling level's tree) would create a cycle and is
-   skipped — the existing path is reused. *)
-let mst_over_generic ctx ~guf ~uf components =
+   skipped — the existing path is reused. The level's tree edges are
+   consed onto [onto], the edges of the levels before it. *)
+let mst_over_generic ctx ~guf ~uf ~onto components =
   let n = List.length components in
   let arr = Array.of_list components in
   let candidates = ref [] in
@@ -70,7 +71,7 @@ let mst_over_generic ctx ~guf ~uf components =
       else { Kruskal.u; v; weight = w } :: acc
     else acc
   in
-  List.fold_left pick [] sorted
+  List.fold_left pick onto sorted
 
 (* Allocation-free fast path of [mst_over_generic]: each candidate edge is
    packed into a single int with the fields in the significance order the
@@ -95,11 +96,11 @@ let sort_prefix (a : int array) len =
     a.(!j + 1) <- x
   done
 
-let mst_over ctx ~guf components =
+let mst_over ctx ~guf ~onto components =
   let n = List.length components in
-  if n <= 1 then []
+  if n <= 1 then onto
   else if n > field_mask || Ndp_graph.Union_find.capacity guf > field_mask + 1 then
-    mst_over_generic ctx ~guf ~uf:(Ndp_graph.Union_find.create n) components
+    mst_over_generic ctx ~guf ~uf:(Ndp_graph.Union_find.create n) ~onto components
   else begin
     let arr = Array.of_list components in
     let best = { bu = -1; bv = -1; bw = max_int } in
@@ -118,11 +119,12 @@ let mst_over ctx ~guf components =
         incr k
       done
     done;
-    if !overflow then mst_over_generic ctx ~guf ~uf:(Ndp_graph.Union_find.create n) components
+    if !overflow then
+      mst_over_generic ctx ~guf ~uf:(Ndp_graph.Union_find.create n) ~onto components
     else begin
       sort_prefix cands !k;
       let uf = Context.scratch_mst ctx ~at_least:n in
-      let edges = ref [] in
+      let edges = ref onto in
       for c = 0 to !k - 1 do
         let packed = cands.(c) in
         let v = packed land field_mask in
@@ -138,50 +140,78 @@ let mst_over ctx ~guf components =
     end
   end
 
-let is_singleton n = function [ m ] -> m = n | _ -> false
+(* Some component of [comps] is exactly the single node [n]. *)
+let rec has_singleton n = function
+  | [] -> false
+  | { members = [ m ] } :: _ when m = n -> true
+  | _ :: rest -> has_singleton n rest
+
+(* The state of one [split] call, in one record rather than closures and
+   refs over the statement: this runs once per statement instance. *)
+type walk = {
+  ctx : Context.t;
+  store_node : int;
+  env : Ndp_ir.Env.t;
+  items : (int, Location.t list) Hashtbl.t;
+  guf : Ndp_graph.Union_find.t;
+  mutable predictions : (int * bool) list; (* newest first *)
+  mutable edges : Kruskal.edge list;
+}
+
+(* Add a component, unless it is a single node some component already is
+   (identical singleton vertices are deduplicated, Algorithm 1, line 12). *)
+let add_component acc members =
+  match members with
+  | [ n ] when has_singleton n acc -> acc
+  | _ -> { members } :: acc
+
+(* The distinct nodes of [components], ascending, gathered through the
+   context's node marks. *)
+let level_nodes (ctx : Context.t) components =
+  let marks = ctx.Context.scratch_marks in
+  List.iter (fun c -> List.iter (fun n -> marks.(n) <- true) c.members) components;
+  let nodes = ref [] in
+  for n = Array.length marks - 1 downto 0 do
+    if marks.(n) then begin
+      marks.(n) <- false;
+      nodes := n :: !nodes
+    end
+  done;
+  !nodes
+
+(* Process one nested-set level: place every item, recurse into sub-sets,
+   then connect the level's components with an MST. Returns the member
+   node set of the completed level. The components are kept in reverse
+   order. *)
+let rec process_level w ~extra (set : Ndp_ir.Nested_set.t) =
+  let components = add_items w [] set.Ndp_ir.Nested_set.items in
+  let components = List.fold_left (fun acc n -> add_component acc [ n ]) components extra in
+  w.edges <- mst_over w.ctx ~guf:w.guf ~onto:w.edges components;
+  level_nodes w.ctx components
+
+and add_items w acc = function
+  | [] -> acc
+  | Ndp_ir.Nested_set.Ref r :: rest ->
+    let loc = Location.locate w.ctx ~store_node:w.store_node r w.env in
+    (match (loc.Location.predicted_hit, loc.Location.va) with
+    | Some p, Some va -> w.predictions <- (va, p) :: w.predictions
+    | _ -> ());
+    let at = match Hashtbl.find w.items loc.Location.node with l -> l | exception Not_found -> [] in
+    Hashtbl.replace w.items loc.Location.node (loc :: at);
+    add_items w (add_component acc [ loc.Location.node ]) rest
+  | Ndp_ir.Nested_set.Const _ :: rest -> add_items w acc rest
+  | Ndp_ir.Nested_set.Sub s :: rest ->
+    add_items w (add_component acc (process_level w ~extra:[] s)) rest
 
 let split (ctx : Context.t) ~store_node stmt env =
   let mesh = Context.mesh ctx in
   let items = Context.scratch_items ctx in
-  let predictions = ref [] in
-  let locate_item r =
-    let loc = Location.locate ctx ~store_node r env in
-    (match (loc.Location.predicted_hit, loc.Location.va) with
-    | Some p, Some va -> predictions := (va, p) :: !predictions
-    | _ -> ());
-    let cur =
-      match Hashtbl.find items loc.Location.node with l -> l | exception Not_found -> []
-    in
-    Hashtbl.replace items loc.Location.node (loc :: cur);
-    loc
-  in
-  let edges = ref [] in
   let guf =
     if Mesh.size mesh = Ndp_graph.Union_find.capacity ctx.Context.scratch_guf then
       Context.scratch_guf ctx
     else Ndp_graph.Union_find.create (Mesh.size mesh)
   in
-  (* Process one nested-set level: place every item, recurse into sub-sets,
-     then connect the level's components with an MST. Returns the member
-     node set of the completed level. *)
-  let rec process_level ?(extra = []) (set : Ndp_ir.Nested_set.t) =
-    (* The level's components in reverse order, identical singleton
-       vertices deduplicated (Algorithm 1, line 12). *)
-    let add acc members =
-      match members with
-      | [ n ] when List.exists (fun c -> is_singleton n c.members) acc -> acc
-      | _ -> { members } :: acc
-    in
-    let add_item acc = function
-      | Ndp_ir.Nested_set.Ref r -> add acc [ (locate_item r).Location.node ]
-      | Ndp_ir.Nested_set.Const _ -> acc
-      | Ndp_ir.Nested_set.Sub s -> add acc (process_level s)
-    in
-    let components = List.fold_left add_item [] set.Ndp_ir.Nested_set.items in
-    let components = List.fold_left (fun acc n -> add acc [ n ]) components extra in
-    edges := mst_over ctx ~guf components @ !edges;
-    List.sort_uniq Int.compare (List.concat_map (fun c -> c.members) components)
-  in
+  let w = { ctx; store_node; env; items; guf; predictions = []; edges = [] } in
   let set =
     if ctx.options.Context.level_based then Ndp_ir.Stmt.nested stmt
     else
@@ -193,13 +223,13 @@ let split (ctx : Context.t) ~store_node stmt env =
         reassociable = true;
       }
   in
-  let nodes = process_level ~extra:[ store_node ] set in
+  let nodes = process_level w ~extra:[ store_node ] set in
   let store =
-    Option.map
-      (fun va -> (va, Context.bytes_of ctx stmt.Ndp_ir.Stmt.lhs))
-      (ctx.runtime_resolve stmt.Ndp_ir.Stmt.lhs env)
+    match ctx.runtime_resolve stmt.Ndp_ir.Stmt.lhs env with
+    | Some va -> Some (va, Context.bytes_of ctx stmt.Ndp_ir.Stmt.lhs)
+    | None -> None
   in
-  let edges = !edges in
+  let edges = w.edges in
   {
     edges;
     items_at = Hashtbl.fold (fun node locs acc -> (node, List.rev locs) :: acc) items [];
@@ -207,7 +237,7 @@ let split (ctx : Context.t) ~store_node stmt env =
     store;
     nodes;
     est_movement = Kruskal.total_weight edges;
-    predictions = List.rev !predictions;
+    predictions = List.rev w.predictions;
   }
 
 let unsplit t =
@@ -219,10 +249,16 @@ let unsplit t =
     nodes = [ t.store_node ];
   }
 
+let rec movement_of (ctx : Context.t) ~store_node env acc = function
+  | [] -> acc
+  | r :: rest ->
+    let acc =
+      match ctx.runtime_resolve r env with
+      | None -> acc
+      | Some va ->
+        acc + Context.distance ctx store_node (Ndp_sim.Machine.home_node ctx.machine ~va)
+    in
+    movement_of ctx ~store_node env acc rest
+
 let default_movement (ctx : Context.t) ~store_node stmt env =
-  let movement_of r =
-    match ctx.runtime_resolve r env with
-    | None -> 0
-    | Some va -> Context.distance ctx store_node (Ndp_sim.Machine.home_node ctx.machine ~va)
-  in
-  List.fold_left (fun acc r -> acc + movement_of r) 0 (Ndp_ir.Stmt.inputs stmt)
+  movement_of ctx ~store_node env 0 (Ndp_ir.Stmt.inputs stmt)

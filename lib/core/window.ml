@@ -22,15 +22,6 @@ type compiled = {
   sync_arcs : (int * int) list;
 }
 
-(* The root of the statement MST is the node the default placement
-   assigned the iteration to (Figure 8: node i computes the final
-   combine); the result's write-back still goes to its home bank, which
-   the engine models in the store path. Keeping the final subcomputation
-   on the assigned node preserves the default's iteration-level balance —
-   rooting at the LHS home bank would serialize the 8 statements sharing
-   an output cache line onto one node. *)
-let store_node_of (_ctx : Context.t) meta = meta.default_node
-
 let chunk list size =
   if size <= 0 then invalid_arg "Window.chunk: size must be positive";
   let rec go acc cur n = function
@@ -50,6 +41,9 @@ let margin_num, margin_den = (7, 10)
 let margin_ruled ~default_est est =
   if est * margin_den < default_est * margin_num then est else default_est
 
+(* Filler for the slots of a task array before it is written. *)
+let dummy_task = Task.make ~id:(-1) ~group:(-1) ~node:0 ~ops:[] ~operands:[] ~label:"" ()
+
 let compile ?deps ?fusion (ctx : Context.t) metas =
   Context.clear_reuse ctx;
   (* Task ids allocated during this compile form the dense range
@@ -65,8 +59,16 @@ let compile ?deps ?fusion (ctx : Context.t) metas =
         let fslot =
           match fusion with Some f when i < Array.length f -> f.(i) | Some _ | None -> None
         in
+        (* The root of the statement MST is the node the default placement
+           assigned the iteration to (Figure 8: node i computes the final
+           combine); the result's write-back still goes to its home bank,
+           which the engine models in the store path. Keeping the final
+           subcomputation on the assigned node preserves the default's
+           iteration-level balance — rooting at the LHS home bank would
+           serialize the 8 statements sharing an output cache line onto
+           one node. *)
         let store_node =
-          match fslot with Some s -> s.Fusion.f_node | None -> store_node_of ctx meta
+          match fslot with Some s -> s.Fusion.f_node | None -> meta.default_node
         in
         let split = Splitter.split ctx ~store_node stmt env in
         let default_est = Splitter.default_movement ctx ~store_node stmt env in
@@ -124,8 +126,8 @@ let compile ?deps ?fusion (ctx : Context.t) metas =
      may-deps) become arcs from the producer's final task to the consuming
      statement's task graph. [deps], when provided, is the pre-computed
      analysis of exactly these instances (indices local to [metas]) — the
-     window-size preprocessing derives it once per nest sample and slices
-     it per chunk instead of re-running the analysis per candidate. *)
+     pipeline derives it once per nest and slices it per window instead of
+     re-running the analysis per window. *)
   let deps =
     match deps with
     | Some d -> d
@@ -152,7 +154,7 @@ let compile ?deps ?fusion (ctx : Context.t) metas =
         (fun (t : Task.t) -> node_of_task.(t.Task.id - id_base) <- t.Task.node)
         s.Schedule.tasks)
     per_stmt;
-  let cross_node (p, c) = node_of_task.(p - id_base) <> node_of_task.(c - id_base) in
+  let cross p c = node_of_task.(p - id_base) <> node_of_task.(c - id_base) in
   (* Dropping a same-node arc is only sound if the node really does run the
      producer first. The level-major emission below orders a node's program
      by level, so the dropped arc must still raise the consumer's level
@@ -161,26 +163,29 @@ let compile ?deps ?fusion (ctx : Context.t) metas =
   let same_node_parents = Array.make (max 1 num_tasks) [] in
   List.iter
     (fun (p, c, _) ->
-      if not (cross_node (p, c)) then
+      if not (cross p c) then
         same_node_parents.(c - id_base) <- p :: same_node_parents.(c - id_base))
     inter_arcs;
-  let all_arcs =
-    List.filter cross_node (join_arcs @ List.map (fun (p, c, _) -> (p, c)) inter_arcs)
+  let rec cross_inter = function
+    | [] -> []
+    | (p, c, _) :: rest -> if cross p c then (p, c) :: cross_inter rest else cross_inter rest
   in
+  let all_arcs = List.filter (fun (p, c) -> cross p c) join_arcs @ cross_inter inter_arcs in
   let surviving = Sync_min.minimize ~enabled:ctx.options.Context.sync_minimize all_arcs in
   let sync_of = Sync_min.syncs_per_consumer surviving in
   (* Inter-statement arcs that survive also order execution: attach them as
      Result operands (flow deps carry a cache line; anti/output deps carry
      a token). *)
   let extra_operands = Array.make (max 1 num_tasks) [] in
-  List.iter
-    (fun (p, c, kind) ->
-      if List.mem (p, c) surviving then begin
-        let bytes = match kind with Dep.Flow | Dep.Anti | Dep.Output -> 8 in
-        extra_operands.(c - id_base) <-
-          Task.Result { producer = p; bytes } :: extra_operands.(c - id_base)
-      end)
-    inter_arcs;
+  if surviving <> [] then
+    List.iter
+      (fun (p, c, kind) ->
+        if List.mem (p, c) surviving then begin
+          let bytes = match kind with Dep.Flow | Dep.Anti | Dep.Output -> 8 in
+          extra_operands.(c - id_base) <-
+            Task.Result { producer = p; bytes } :: extra_operands.(c - id_base)
+        end)
+      inter_arcs;
   let finalize (task : Task.t) =
     let extras = extra_operands.(task.Task.id - id_base) in
     let syncs = Option.value (Hashtbl.find_opt sync_of task.Task.id) ~default:0 in
@@ -188,42 +193,53 @@ let compile ?deps ?fusion (ctx : Context.t) metas =
     | [] -> if syncs = task.Task.syncs then task else { task with Task.syncs }
     | _ -> { task with Task.operands = task.Task.operands @ extras; Task.syncs }
   in
-  let tasks =
-    Array.of_list
-      (List.concat_map (fun (_, _, s, _) -> List.map finalize s.Schedule.tasks) per_stmt)
+  (* The finalized tasks in emission order, with their levels. *)
+  let leveled = Array.make num_tasks (dummy_task, 0) in
+  let level_of = Array.make (max 1 num_tasks) 0 in
+  let rec producer_floor acc = function
+    | [] -> acc
+    | Task.Result { producer; bytes = _ } :: rest ->
+      producer_floor (max acc level_of.(producer - id_base)) rest
+    | Task.Load _ :: rest -> producer_floor acc rest
   in
+  let rec parent_floor acc = function
+    | [] -> acc
+    | p :: rest -> parent_floor (max acc level_of.(p - id_base)) rest
+  in
+  let count = ref 0 and max_level = ref 0 in
+  List.iter
+    (fun (_, _, s, _) ->
+      List.iter
+        (fun task ->
+          let t = finalize task in
+          (* Same-node arcs have no Result operand; their ordering
+             obligation lives entirely in this level assignment. *)
+          let level =
+            1
+            + max (producer_floor 0 t.Task.operands)
+                (parent_floor 0 same_node_parents.(t.Task.id - id_base))
+          in
+          level_of.(t.Task.id - id_base) <- level;
+          leveled.(!count) <- (t, level);
+          if level > !max_level then max_level := level;
+          incr count)
+        s.Schedule.tasks)
+    per_stmt;
   (* Emit the window level-by-level (all dependency-free subcomputations
      first), so a node's generated program never blocks a ready
      subcomputation behind one that is still waiting for remote partial
      results — the interleaving the paper's code generator produces
-     (Figure 8). The sort is stable, preserving producer-before-consumer
-     within a level chain. *)
-  let level_of = Array.make (max 1 num_tasks) 0 in
-  let leveled =
-    Array.map
-      (fun (t : Task.t) ->
-        let producer_level = function
-          | Task.Result { producer; bytes = _ } -> level_of.(producer - id_base)
-          | Task.Load _ -> 0
-        in
-        let operand_floor =
-          List.fold_left (fun acc op -> max acc (producer_level op)) 0 t.Task.operands
-        in
-        (* Same-node arcs have no Result operand; their ordering obligation
-           lives entirely in this level assignment. *)
-        let parent_floor =
-          List.fold_left
-            (fun acc p -> max acc level_of.(p - id_base))
-            0
-            same_node_parents.(t.Task.id - id_base)
-        in
-        let level = 1 + max operand_floor parent_floor in
-        level_of.(t.Task.id - id_base) <- level;
-        (t, level))
-      tasks
+     (Figure 8). Within a level, emission order is kept, preserving
+     producer-before-consumer within a level chain. *)
+  let tasks =
+    let acc = ref [] in
+    for level = !max_level downto 1 do
+      for i = !count - 1 downto 0 do
+        if snd leveled.(i) = level then acc := leveled.(i) :: !acc
+      done
+    done;
+    !acc
   in
-  Array.stable_sort (fun ((_ : Task.t), la) ((_ : Task.t), lb) -> compare la lb) leveled;
-  let tasks = Array.to_list leveled in
   let group_syncs = Hashtbl.create 16 in
   List.iter
     (fun ((t : Task.t), _) ->
@@ -259,39 +275,6 @@ let sync_links_of (ctx : Context.t) =
   let c = ctx.Context.config in
   max 1 (c.Ndp_sim.Config.sync_cycles / c.Ndp_sim.Config.hop_cycles) + 2
 
-let estimate_of_compiled ~sync_links (compiled : compiled) =
-  let movement = List.fold_left (fun acc r -> acc + r.est_movement) 0 compiled.reports in
-  movement + (sync_links * compiled.sync_count)
-
-(* The sampled estimate: the sample's total movement plus sync cost when
-   every chunk of [window] instances is actually compiled, on a forked
-   context. The nest sample's dependence analysis is computed once
-   ([all_deps], indices into [sample]) and sliced per chunk: a dependence
-   whose endpoints both fall inside a chunk is exactly what analyzing the
-   chunk alone would find (the analysis is pairwise), so re-deriving it
-   per candidate window size only repeats work. *)
-let estimate_sliced (ctx : Context.t) sample all_deps ~window =
-  let ctx = Context.fork_for_estimate ctx in
-  let sync_links = sync_links_of ctx in
-  let n = Array.length sample in
-  let rec go lo acc =
-    if lo >= n then acc
-    else begin
-      let hi = min n (lo + window) in
-      let metas = Array.to_list (Array.sub sample lo (hi - lo)) in
-      let deps =
-        List.filter_map
-          (fun (d : Dep.dep) ->
-            if d.Dep.src >= lo && d.Dep.dst < hi then
-              Some { d with Dep.src = d.Dep.src - lo; Dep.dst = d.Dep.dst - lo }
-            else None)
-          all_deps
-      in
-      go hi (acc + estimate_of_compiled ~sync_links (compile ~deps ctx metas))
-    end
-  in
-  go 0 0
-
 (* The preprocessing estimates movement on a prefix of the instance stream;
    loop iterations are statistically uniform, so a few hundred instances
    characterize the nest. *)
@@ -323,8 +306,8 @@ let all_non_affine metas =
    off), synchronization from the dependence pairs whose endpoints share a
    chunk. What it forgoes — schedule placements landing on exec nodes,
    join arcs, transitive sync reduction — are second-order against the
-   movement term, and the chooser falls back to the sampled estimator
-   whenever the analytic curve is too flat to call the winner. *)
+   movement term: on every nest of the suite the analytic curve's first
+   minimum is the size compiling every candidate would pick. *)
 
 type analytic = { a_est : int array; a_syncs : int }
 
@@ -366,7 +349,7 @@ let analytic_of (ctx : Context.t) metas ~window =
       for i = lo to hi - 1 do
         let m = arr.(i) in
         let stmt = m.inst.Dep.stmt and env = m.inst.Dep.env in
-        let store_node = store_node_of ctx m in
+        let store_node = m.default_node in
         let split = Splitter.split ctx ~store_node stmt env in
         let default_est = Splitter.default_movement ctx ~store_node stmt env in
         let kept = split.Splitter.est_movement * margin_den < default_est * margin_num in
@@ -393,18 +376,13 @@ let analytic_of (ctx : Context.t) metas ~window =
   go 0;
   { a_est = (if n = 0 then [||] else a_est); a_syncs = !syncs }
 
-(* Candidates whose analytic total lands within this fraction of the
-   analytic minimum are re-scored with the sampled estimator; an
-   uncontested analytic winner skips sampling entirely. *)
-let analytic_tie_margin = 0.10
-
-let choose_size_analytic ?pool (ctx : Context.t) metas ~max:max_size =
+let choose_size_analytic (ctx : Context.t) metas ~max:max_size =
   if max_size < 1 || metas = [] || all_non_affine metas then 1
   else begin
     let sample = Array.of_list (List.filteri (fun i _ -> i < preprocessing_sample) metas) in
     let n = Array.length sample in
-    (* Both the analytic sync count and the sampled tie-breaker read only
-       pairs inside one chunk of at most [max_size] instances. *)
+    (* The sync count reads only pairs inside one chunk of at most
+       [max_size] instances. *)
     let all_deps =
       Dep.analyze ~band:max_size ctx.Context.compiler_resolve
         (Array.to_list (Array.map (fun m -> m.inst) sample))
@@ -426,7 +404,7 @@ let choose_size_analytic ?pool (ctx : Context.t) metas ~max:max_size =
     for i = 0 to n - 1 do
       let m = sample.(i) in
       let stmt = m.inst.Dep.stmt and env = m.inst.Dep.env in
-      let store_node = store_node_of ectx m in
+      let store_node = m.default_node in
       let provs = ref [] in
       List.iter
         (fun r ->
@@ -475,39 +453,14 @@ let choose_size_analytic ?pool (ctx : Context.t) metas ~max:max_size =
         all_deps;
       !movement + (sync_links * !syncs)
     in
-    let candidates = List.init max_size (fun k -> k + 1) in
-    let totals = List.map total candidates in
-    let best = List.fold_left min (List.hd totals) totals in
-    let cut = float_of_int best *. (1. +. analytic_tie_margin) in
-    let ties =
-      List.filteri (fun k _ -> float_of_int (List.nth totals k) <= cut) candidates
-    in
-    match ties with
-    | [ w ] -> w
-    | ties ->
-      (* Too close to call analytically: re-score only the contested
-         candidates with the sampled estimator; among equal estimates the
-         smallest window wins. The walk above already resolved (and
-         page-allocated) every address the sample reaches, so pooled
-         evaluation only reads shared machine state — apart from the
-         home-lookup counter, which each estimate bumps on a private view
-         of the machine, added back once every estimate is done. *)
-      let estimate w =
-        let machine, flush = Ndp_sim.Machine.fork_lookups ctx.Context.machine in
-        (estimate_sliced { ctx with Context.machine } sample all_deps ~window:w, flush)
-      in
-      let scored =
-        match pool with
-        | Some p -> Ndp_prelude.Pool.parallel_map p estimate ties
-        | None -> List.map estimate ties
-      in
-      List.iter (fun (_, flush) -> flush ()) scored;
-      let estimates = List.map fst scored in
-      let best_w, _ =
-        List.fold_left2
-          (fun (best_w, best_m) w m -> if m < best_m then (w, m) else (best_w, best_m))
-          (List.hd ties, List.hd estimates)
-          (List.tl ties) (List.tl estimates)
-      in
-      best_w
+    (* The first minimum wins: among equal totals the smallest window. *)
+    let best_w = ref 1 and best = ref (total 1) in
+    for w = 2 to max_size do
+      let t = total w in
+      if t < !best then begin
+        best_w := w;
+        best := t
+      end
+    done;
+    !best_w
   end

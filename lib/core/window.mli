@@ -40,10 +40,6 @@ type compiled = {
           (producer task, consumer task); [sync_count] is their length *)
 }
 
-val store_node_of : Context.t -> meta -> int
-(** Home node of the statement's output under the compiler's view; falls
-    back to the default node when the output is unanalyzable. *)
-
 val compile :
   ?deps:Ndp_ir.Dependence.dep list ->
   ?fusion:Fusion.slot option array ->
@@ -53,8 +49,8 @@ val compile :
 (** Compile one window. Clears and then populates the variable2node map.
     [deps], when given, must be the dependence analysis of exactly these
     instances (indices local to the list) and skips the per-window
-    re-analysis — the window-size preprocessing derives one analysis per
-    nest sample and slices it per chunk. [fusion], when given, is the
+    re-analysis — the pipeline derives one analysis per nest and slices
+    it per window. [fusion], when given, is the
     fusion plan sliced to this window (parallel to the meta list): a
     fused member executes whole on its chain's node, and its write-back
     becomes L1-local when the slot elides it. An absent array or all-
@@ -74,19 +70,18 @@ val analytic_of : Context.t -> meta list -> window:int -> analytic
     and one handshake per distinct in-chunk cross-node dependence pair.
     No tasks are built and no schedule is run. *)
 
-val choose_size_analytic : ?pool:Ndp_prelude.Pool.t -> Context.t -> meta list -> max:int -> int
+val choose_size_analytic : Context.t -> meta list -> max:int -> int
 (** The window sizer — the preprocessing step of Section 4.4: pick the
     window size in [1..max] minimizing estimated data movement plus
     synchronization cost over a sample of one loop nest's instance stream.
     One walk over the sample prices every candidate size (each statement
     keeps its reuse-aware estimate when its L1 providers share the chunk,
-    and its cold estimate when the boundary cuts them off). Only when
-    several candidates land within 10% of the analytic minimum are those
-    candidates re-scored by compiling the sample (dependences analyzed
-    once, banded to [max], and sliced per chunk), concurrently over [pool]
-    when given; the smallest window wins ties. The chosen size is
-    independent of [pool]. Nests with only non-affine references
-    short-circuit to size 1. *)
+    and its cold estimate when the boundary cuts them off; one handshake
+    per distinct in-chunk cross-node dependence pair, dependences analyzed
+    once and banded to [max]). The first minimum of that curve wins, so
+    equal totals go to the smallest window. Nothing is compiled and no
+    state outside a private fork of the context is touched. Nests with
+    only non-affine references short-circuit to size 1. *)
 
 val sync_links_of : Context.t -> int
 (** Cost of one synchronization handshake expressed in links — the unit

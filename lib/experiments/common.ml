@@ -49,7 +49,7 @@ let run t ?(config = Config.default) ?(tweaks = Pipeline.no_tweaks) ?(key_suffix
     (* Simulate outside the lock; a concurrent cell computing the same key
        produces a bit-identical result (runs are deterministic), and the
        first writer wins so every reader sees one value. *)
-    let r = Pipeline.Job.run ~pool:t.pool (Pipeline.Job.make ~config ~tweaks scheme kernel) in
+    let r = Pipeline.Job.run (Pipeline.Job.make ~config ~tweaks scheme kernel) in
     Mutex.lock t.lock;
     let r =
       match Hashtbl.find_opt t.cache key with

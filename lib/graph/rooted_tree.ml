@@ -7,10 +7,13 @@ type t = {
   weights : int array; (* [weights.(i)]: weight of that parent edge *)
 }
 
-(* Index of [v] among the first [len] entries of [verts], or -1. *)
-let position verts len v =
-  let rec go i = if i >= len then -1 else if verts.(i) = v then i else go (i + 1) in
-  go 0
+(* Index of [v] among the entries [i .. len-1] of [verts], or -1. The
+   lookups here are top-level recursions: a local one would allocate its
+   closure on every call, and the scheduler makes several per vertex. *)
+let rec position_from verts len v i =
+  if i >= len then -1 else if verts.(i) = v then i else position_from verts len v (i + 1)
+
+let position verts len v = position_from verts len v 0
 
 let of_edges ~root edges =
   let es = Array.of_list edges in
@@ -65,11 +68,11 @@ let root t = t.verts.(0)
 
 (* A vertex's children are attached while it is expanded, in ascending
    order, so BFS order lists them ascending. *)
-let children t v =
-  let rec go i acc =
-    if i < 1 then acc else go (i - 1) (if t.parents.(i) = v then t.verts.(i) :: acc else acc)
-  in
-  go (Array.length t.verts - 1) []
+let rec children_below t v i acc =
+  if i < 1 then acc
+  else children_below t v (i - 1) (if t.parents.(i) = v then t.verts.(i) :: acc else acc)
+
+let children t v = children_below t v (Array.length t.verts - 1) []
 
 let parent t v =
   let i = position t.verts (Array.length t.verts) v in

@@ -6,8 +6,6 @@ let declare_index_array t name contents = Hashtbl.replace t.index_arrays name co
 
 let run t = t.ran <- true
 
-let has_run t = t.ran
-
 let lookup t name i =
   match Hashtbl.find_opt t.index_arrays name with
   | None -> raise Not_found

@@ -17,8 +17,6 @@ val declare_index_array : t -> string -> int array -> unit
 val run : t -> unit
 (** Mark the inspector phase complete. *)
 
-val has_run : t -> bool
-
 val lookup : t -> string -> int -> int
 (** Ground-truth index-array read (always available to the {e runtime}).
     Raises [Not_found] for undeclared arrays; indices wrap. *)

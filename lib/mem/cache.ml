@@ -113,10 +113,6 @@ let hits t = t.hits
 let misses t = t.misses
 let evictions t = t.evictions
 
-let hit_rate t =
-  let total = t.hits + t.misses in
-  if total = 0 then 0.0 else float_of_int t.hits /. float_of_int total
-
 let reset_stats t =
   t.hits <- 0;
   t.misses <- 0;

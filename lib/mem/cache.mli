@@ -37,9 +37,6 @@ val misses : t -> int
 val evictions : t -> int
 (** Valid lines displaced by fills (capacity/conflict victims). *)
 
-val hit_rate : t -> float
-(** Hits over accesses; 0 before any access. *)
-
 val reset_stats : t -> unit
 
 val clear : t -> unit

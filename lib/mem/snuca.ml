@@ -33,18 +33,6 @@ let home_node t addr =
 
 let note_lookups t ~bank ~count = Ndp_obs.Metrics.vadd t.m_lookups bank count
 
-let fork_lookups t =
-  (* A disabled counter has size 0, and so does its private view. *)
-  let size = Ndp_obs.Metrics.vec_size t.m_lookups in
-  let own =
-    Ndp_obs.Metrics.vec (Ndp_obs.Metrics.create ()) "mem.home_lookups" ~size ~label:string_of_int
-  in
-  ( { t with m_lookups = own },
-    fun () ->
-      for bank = 0 to size - 1 do
-        Ndp_obs.Metrics.vadd t.m_lookups bank (Ndp_obs.Metrics.vec_value own bank)
-      done )
-
 let mc_node t addr =
   let home_bank = home_node t addr in
   let channel = Addr_map.channel t.map addr in

@@ -20,12 +20,6 @@ val note_lookups : t -> bank:int -> count:int -> unit
     them — for profiling passes that evaluate one lookup and reuse the
     result where the naive code would have looked the line up again. *)
 
-val fork_lookups : t -> t * (unit -> unit)
-(** A view of [t] that counts its lookups privately, and the function
-    that adds those counts to [t]'s [mem.home_lookups] counter. Domains
-    sharing one [t] each take a view, so their lookups never race on the
-    shared counter and its totals are the same at any pool size. *)
-
 val mc_node : t -> int -> int
 (** Node id of the memory controller servicing an L2 miss on the address. *)
 

@@ -83,8 +83,6 @@ let vadd v i n = if v.v_on && i >= 0 && i < Array.length v.v_data then v.v_data.
 
 let vec_value v i = if i >= 0 && i < Array.length v.v_data then v.v_data.(i) else 0
 
-let vec_size v = Array.length v.v_data
-
 let gauge t name =
   if not t.on then dead_gauge
   else

@@ -52,8 +52,6 @@ val vadd : vec -> int -> int -> unit
 
 val vec_value : vec -> int -> int
 
-val vec_size : vec -> int
-
 type gauge
 
 val gauge : t -> string -> gauge

@@ -101,7 +101,7 @@ let captured t ~spans (job : Pipeline.Job.t) =
   let skey = Key.job_digest job in
   let obs = { Ndp_obs.Sink.none with Ndp_obs.Sink.spans = spans } in
   let r, hit =
-    Cache.find_or_add t.schedules skey (fun () -> Pipeline.Job.run ~pool:t.pool ~obs job)
+    Cache.find_or_add t.schedules skey (fun () -> Pipeline.Job.run ~obs job)
   in
   (skey, r, hit)
 
@@ -241,23 +241,23 @@ let handle t (req : Protocol.request) =
         cacheable t spec
           ~salt:(Printf.sprintf "run:%b" metrics)
           (fun job ->
-            let o = Service.run ~pool:t.pool ~metrics ~spans job in
+            let o = Service.run ~metrics ~spans job in
             rendered spans (fun () -> body o.Service.doc))
       | Protocol.Profile { spec; interval; top } ->
         cacheable t spec
           ~salt:(Printf.sprintf "profile:%d:%d" interval top)
           (fun job ->
-            let o = Service.profile ~pool:t.pool ~spans ~interval ~top job in
+            let o = Service.profile ~spans ~interval ~top job in
             rendered spans (fun () -> body o.Service.p_doc))
       | Protocol.Analyze { spec; threshold } ->
         cacheable t spec
           ~salt:(Printf.sprintf "analyze:%h" threshold)
           (fun job ->
-            let o = Service.analyze ~pool:t.pool ~spans ~threshold job in
+            let o = Service.analyze ~spans ~threshold job in
             rendered spans (fun () -> body o.Service.a_doc))
       | Protocol.Inject spec ->
         cacheable t spec ~salt:"inject" (fun job ->
-            let o = Service.inject ~pool:t.pool ~spans ~spec:spec.Protocol.faults job in
+            let o = Service.inject ~spans ~spec:spec.Protocol.faults job in
             rendered spans (fun () -> body o.Service.i_doc))
       | Protocol.Compile spec ->
         cacheable t spec ~salt:"compile" (fun job -> compile_body t ~spans job)

@@ -91,7 +91,6 @@ type run_outcome = {
 }
 
 val run :
-  ?pool:Ndp_prelude.Pool.t ->
   ?metrics:bool ->
   ?spans:Ndp_obs.Span.t ->
   Ndp_core.Pipeline.Job.t ->
@@ -113,7 +112,6 @@ type profile_outcome = {
 }
 
 val profile :
-  ?pool:Ndp_prelude.Pool.t ->
   ?trace:bool ->
   ?spans:Ndp_obs.Span.t ->
   interval:int ->
@@ -136,7 +134,6 @@ type analyze_outcome = {
 }
 
 val analyze :
-  ?pool:Ndp_prelude.Pool.t ->
   ?spans:Ndp_obs.Span.t ->
   threshold:float ->
   Ndp_core.Pipeline.Job.t ->
@@ -153,8 +150,7 @@ type fusion_outcome = {
   f_reduction_pct : float;
 }
 
-val analyze_fusion :
-  ?pool:Ndp_prelude.Pool.t -> Ndp_core.Pipeline.Job.t -> fusion_outcome
+val analyze_fusion : Ndp_core.Pipeline.Job.t -> fusion_outcome
 (** Runs the job twice — fused and unfused partitioned schemes, same
     window policy and config, each under its own movement ledger — and
     joins the fused run's per-chain fusion decisions with the measured
@@ -171,7 +167,6 @@ type inject_outcome = {
 }
 
 val inject :
-  ?pool:Ndp_prelude.Pool.t ->
   ?spans:Ndp_obs.Span.t ->
   spec:string ->
   Ndp_core.Pipeline.Job.t ->

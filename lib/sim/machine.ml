@@ -148,10 +148,6 @@ let home_node t ~va = Snuca.home_node t.snuca (translate t va)
 
 let note_home_lookups t ~bank ~count = Snuca.note_lookups t.snuca ~bank ~count
 
-let fork_lookups t =
-  let snuca, flush = Snuca.fork_lookups t.snuca in
-  ({ t with snuca }, flush)
-
 let compiler_home_node t ~va = Snuca.home_node t.snuca (compiler_translate t va)
 
 let compiler_mc_node t ~va = Snuca.mc_node t.snuca (compiler_translate t va)

@@ -66,12 +66,6 @@ val note_home_lookups : t -> bank:int -> count:int -> unit
     computation the per-candidate code evaluated repeatedly, keeping the
     metric's meaning (lookups the profile pass performs) unchanged. *)
 
-val fork_lookups : t -> t * (unit -> unit)
-(** A view of the machine whose home-bank lookups are counted privately
-    ({!Ndp_mem.Snuca.fork_lookups}), and the function that adds them to
-    the shared [mem.home_lookups] counter — for compile-time work that
-    pool workers run concurrently against one machine. *)
-
 val compiler_home_node : t -> va:int -> int
 
 val compiler_mc_node : t -> va:int -> int

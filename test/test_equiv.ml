@@ -20,7 +20,7 @@ let expected =
     ("cholesky/default/faulted", "2c3a9e438b1ca8b8");
     ("cholesky/default/profiled", "14861b8ed76385fe");
     ("cholesky/partitioned(adaptive)/plain", "3933285fd2b34ea1");
-    ("cholesky/partitioned(adaptive)/faulted", "11394cf7e07baceb");
+    ("cholesky/partitioned(adaptive)/faulted", "3f1684281421a6c5");
     ("cholesky/partitioned(adaptive)/profiled", "287128a604821181");
     ("fft/default/plain", "1d11019861a0b4ba");
     ("fft/default/faulted", "32e09d7ff5435870");

@@ -194,41 +194,42 @@ let repaired_schedules_race_free () =
     [ "fft"; "water"; "lu"; "radix" ]
 
 let deterministic_across_pool_sizes () =
-  (* The adaptive-window preprocessing is the only pool-parallel stage of
-     a pipeline run; a faulted + repaired run must be bit-identical at
-     any worker count because every random choice lives in the plan. *)
+  (* Whole jobs are what a pool runs concurrently (the daemon's batch op,
+     the evaluation drivers); a faulted + repaired run must be
+     bit-identical at any worker count because every random choice lives
+     in the plan and no state is shared between jobs. *)
   let faults = parse_exn "kill=2,stall=9@0+200000,mc=0x2" in
-  let fingerprint pool kernel =
-    let r = Pipeline.Job.run ?pool (Pipeline.Job.make ~faults ~repair:true partitioned kernel) in
+  let fingerprint kernel =
+    let r = Pipeline.Job.run (Pipeline.Job.make ~faults ~repair:true partitioned kernel) in
     ( Ndp_sim.Stats.to_alist r.Pipeline.stats,
       r.Pipeline.exec_time,
       r.Pipeline.node_finish,
       r.Pipeline.remapped_tasks,
       r.Pipeline.windows_chosen )
   in
+  let kernels = Suite.all () in
+  let reference = List.map fingerprint kernels in
   List.iter
-    (fun kernel ->
-      let name = kernel.Ndp_core.Kernel.name in
-      let reference = fingerprint None kernel in
-      List.iter
-        (fun jobs ->
-          Ndp_prelude.Pool.with_pool ~jobs (fun pool ->
-              let got = fingerprint (Some pool) kernel in
+    (fun jobs ->
+      Ndp_prelude.Pool.with_pool ~jobs (fun pool ->
+          let got = Ndp_prelude.Pool.parallel_map pool fingerprint kernels in
+          List.iter2
+            (fun (kernel, want) got ->
               Alcotest.(check bool)
-                (Printf.sprintf "%s identical at %d jobs" name jobs)
-                true (got = reference)))
-        [ 1; 4; 7 ])
-    (Suite.all ())
+                (Printf.sprintf "%s identical at %d jobs" kernel.Ndp_core.Kernel.name jobs)
+                true (got = want))
+            (List.combine kernels reference) got))
+    [ 1; 4; 7 ]
 
 let repaired_schedule_identical_across_pool_sizes () =
   (* Stronger than the stats fingerprint: the emitted task lists of the
-     repaired schedule themselves, compared task by task. *)
+     repaired schedule themselves, compared task by task, with as many
+     copies of the job running at once as the pool has workers. *)
   let faults = parse_exn "kill=14>20,stall=9@0+200000" in
   let kernel = Suite.find "fft" in
-  let tasks_of pool =
+  let tasks_of () =
     let r =
-      Pipeline.Job.run ?pool
-        (Pipeline.Job.make ~validate:true ~faults ~repair:true partitioned kernel)
+      Pipeline.Job.run (Pipeline.Job.make ~validate:true ~faults ~repair:true partitioned kernel)
     in
     List.map
       (function
@@ -237,14 +238,15 @@ let repaired_schedule_identical_across_pool_sizes () =
           List.map fst t_compiled.Ndp_core.Window.tasks)
       r.Pipeline.traces
   in
-  let reference = tasks_of None in
+  let reference = tasks_of () in
   List.iter
     (fun jobs ->
       Ndp_prelude.Pool.with_pool ~jobs (fun pool ->
+          let copies = Ndp_prelude.Pool.parallel_map pool tasks_of (List.init jobs ignore) in
           Alcotest.(check bool)
             (Printf.sprintf "schedules identical at %d jobs" jobs)
             true
-            (tasks_of (Some pool) = reference)))
+            (List.for_all (fun t -> t = reference) copies)))
     [ 1; 4; 7 ]
 
 let tests =

@@ -95,26 +95,6 @@ let snuca_snc4_quadrant_local () =
     done
   done
 
-(* Lookups on a forked view reach the shared counter only through its
-   flush, and then exactly — what keeps pooled window sizing from racing
-   on mem.home_lookups. *)
-let snuca_fork_lookups () =
-  let mesh = Ndp_noc.Mesh.create ~cols:6 ~rows:6 in
-  let reg = Ndp_obs.Metrics.create () in
-  let s = Snuca.create ~metrics:reg mesh Ndp_noc.Cluster.Quadrant map36 in
-  let count () =
-    match Ndp_obs.Metrics.find reg "mem.home_lookups{bank=1}" with
-    | Some (Ndp_obs.Metrics.Counter_v v) -> v
-    | _ -> 0
-  in
-  ignore (Snuca.home_node s 64);
-  let view, flush = Snuca.fork_lookups s in
-  Alcotest.(check int) "view homes alike" 1 (Snuca.home_node view 64);
-  ignore (Snuca.home_node view 64);
-  Alcotest.(check int) "view leaves the shared counter alone" 1 (count ());
-  flush ();
-  Alcotest.(check int) "flush adds the view's lookups" 3 (count ())
-
 let predictor_learns_reuse () =
   let p = Miss_predictor.create ~capacity_blocks:8 map36 in
   Alcotest.(check bool) "cold predicts miss" false (Miss_predictor.predict p 0);
@@ -155,7 +135,6 @@ let tests =
         Alcotest.test_case "cache invalidate" `Quick cache_invalidate;
         Alcotest.test_case "snuca homes" `Quick snuca_homes;
         Alcotest.test_case "snc-4 quadrant local" `Quick snuca_snc4_quadrant_local;
-        Alcotest.test_case "snuca forked lookups" `Quick snuca_fork_lookups;
         Alcotest.test_case "predictor learns reuse" `Quick predictor_learns_reuse;
         Alcotest.test_case "predictor accuracy" `Quick predictor_accuracy_tracking;
         QCheck_alcotest.to_alcotest qcheck_cache_capacity;

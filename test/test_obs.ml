@@ -217,20 +217,23 @@ let ledger_attributes_and_predicts () =
   let sum_stmt = List.fold_left (fun acc (s : L.stmt_total) -> acc + s.L.s_flit_hops) 0 stmts in
   Alcotest.(check int) "statement totals partition row totals" (L.total_flit_hops ledger) sum_stmt
 
+(* [jobs] copies of [f ()] running at once on a [jobs]-domain pool. *)
+let concurrently jobs f =
+  Pool.with_pool ~jobs (fun pool -> Pool.parallel_map pool f (List.init jobs ignore))
+
 let ledger_output_deterministic_across_jobs () =
-  let render jobs =
-    let run obs pool =
-      ignore (P.Job.run ?pool ~obs (P.Job.make (P.Partitioned P.partitioned_defaults) (water ())))
-    in
+  let render () =
     let obs = profiled_sink () in
-    (match jobs with
-    | 1 -> run obs None
-    | j -> Pool.with_pool ~jobs:j (fun pool -> run obs (Some pool)));
+    ignore (P.Job.run ~obs (P.Job.make (P.Partitioned P.partitioned_defaults) (water ())));
     Json.to_string (L.to_json obs.Sink.ledger)
   in
-  let serial = render 1 in
-  Alcotest.(check string) "jobs=4 byte-identical" serial (render 4);
-  Alcotest.(check string) "jobs=7 byte-identical" serial (render 7)
+  let serial = render () in
+  List.iter
+    (fun jobs ->
+      List.iter
+        (Alcotest.(check string) (Printf.sprintf "jobs=%d byte-identical" jobs) serial)
+        (concurrently jobs render))
+    [ 4; 7 ]
 
 (* {1 Timeline} *)
 
@@ -299,13 +302,15 @@ let observed_run_identical () =
 
 let observed_run_identical_under_pool () =
   let bare = P.Job.run (P.Job.make (P.Partitioned P.partitioned_defaults) (water ())) in
-  Pool.with_pool ~jobs:4 (fun pool ->
-      let obs = Sink.create ~metrics:true ~trace:true () in
-      let seen =
-        P.Job.run ~pool ~obs (P.Job.make (P.Partitioned P.partitioned_defaults) (water ()))
-      in
+  let observed () =
+    let obs = Sink.create ~metrics:true ~trace:true () in
+    P.Job.run ~obs (P.Job.make (P.Partitioned P.partitioned_defaults) (water ()))
+  in
+  List.iter
+    (fun (seen : P.result) ->
       Alcotest.(check bool) "stats equal under jobs=4" true (Stats.equal bare.P.stats seen.P.stats);
       Alcotest.(check int) "exec_time equal under jobs=4" bare.P.exec_time seen.P.exec_time)
+    (concurrently 4 observed)
 
 (* {1 Stats surface} *)
 
@@ -401,24 +406,27 @@ let span_exception_safe () =
   Alcotest.(check int) "span closed by exception path" 0 (Span.depth t);
   Alcotest.(check int) "span still recorded" 1 (Span.count t)
 
-(* Byte-identical pipeline phase span logs at any --jobs: the collector
-   stays on the calling domain. *)
+(* Byte-identical pipeline phase span logs at any --jobs: each job's
+   collector stays on the domain running that job. *)
 let span_deterministic_across_jobs () =
   List.iter
     (fun app ->
       let kernel = Ndp_workloads.Suite.find app in
-      let pipeline jobs =
-        Pool.with_pool ~jobs (fun pool ->
-            let spans = Span.create ~clock:(fun () -> 0.0) () in
-            let obs = { Sink.none with Sink.spans } in
-            ignore
-              (P.Job.run ~pool ~obs
-                 (P.Job.make (P.Partitioned P.partitioned_defaults) kernel));
-            Json.to_string (Span.to_json ~wall:false spans))
+      let pipeline () =
+        let spans = Span.create ~clock:(fun () -> 0.0) () in
+        let obs = { Sink.none with Sink.spans } in
+        ignore (P.Job.run ~obs (P.Job.make (P.Partitioned P.partitioned_defaults) kernel));
+        Json.to_string (Span.to_json ~wall:false spans)
       in
-      let p1 = pipeline 1 in
-      Alcotest.(check string) (app ^ " pipeline spans 4 jobs == serial") p1 (pipeline 4);
-      Alcotest.(check string) (app ^ " pipeline spans 7 jobs == serial") p1 (pipeline 7))
+      let p1 = pipeline () in
+      List.iter
+        (fun jobs ->
+          List.iter
+            (Alcotest.(check string)
+               (Printf.sprintf "%s pipeline spans %d jobs == serial" app jobs)
+               p1)
+            (concurrently jobs pipeline))
+        [ 4; 7 ])
     [ "water"; "fft" ]
 
 let span_pipeline_phases () =
