@@ -12,10 +12,7 @@
                          heatmap, summary)
      main.exe ablation   the DESIGN.md ablations
      main.exe micro      Bechamel micro-benchmarks (incl. observability
-                         overhead, enabled vs disabled)
-     main.exe micro --json
-                         also time the full validation gate and write the
-                         BENCH_micro.json trajectory file *)
+                         overhead against one unobserved baseline) *)
 
 module E = Ndp_experiments
 
@@ -54,60 +51,7 @@ let choose_size_fixture () =
   in
   (ctx, List.filteri (fun i _ -> i < 256) metas)
 
-(* Load-generate against an in-process serve daemon: every suite kernel
-   under both schemes, three rounds of identical Run requests. Round one
-   compiles (all result-cache misses); the later rounds are answered from
-   the cache, so the expected hit ratio is 2/3 and the warm/cold latency
-   ratio is the cache speedup. [Server.handle] is exactly the dispatch
-   the socket loop uses, so the numbers cover everything but framing I/O. *)
-let serve_loadgen () =
-  let module Server = Ndp_serve.Server in
-  let module Protocol = Ndp_serve.Protocol in
-  let server = Server.create () in
-  let requests =
-    List.concat_map
-      (fun app ->
-        List.map
-          (fun scheme ->
-            Protocol.Run
-              { spec = { (Protocol.default_spec ~app) with Protocol.scheme }; metrics = false })
-          [ "default"; "partitioned" ])
-      Ndp_workloads.Suite.names
-  in
-  let n = List.length requests in
-  let pass () =
-    let t0 = Unix.gettimeofday () in
-    let replies = List.map (Server.handle server) requests in
-    (Unix.gettimeofday () -. t0, replies)
-  in
-  let cold_s, cold = pass () in
-  let warm1_s, warm1 = pass () in
-  let warm2_s, _ = pass () in
-  let identical =
-    List.for_all2 (fun (a : Server.reply) (b : Server.reply) -> a.Server.body = b.Server.body)
-      cold warm1
-  in
-  let st = Ndp_serve.Cache.stats (Server.result_cache server) in
-  Server.shutdown server;
-  let rps = float_of_int (3 * n) /. (cold_s +. warm1_s +. warm2_s) in
-  let hit_ratio =
-    float_of_int st.Ndp_serve.Cache.hits
-    /. float_of_int (st.Ndp_serve.Cache.hits + st.Ndp_serve.Cache.misses)
-  in
-  let cold_ms = cold_s *. 1000.0 /. float_of_int n in
-  let warm_ms = (warm1_s +. warm2_s) *. 1000.0 /. float_of_int (2 * n) in
-  let speedup = cold_ms /. warm_ms in
-  Printf.printf "== serve load-gen: %d requests (%d apps x 2 schemes x 3 rounds, in-process) ==\n"
-    (3 * n)
-    (List.length Ndp_workloads.Suite.names);
-  Printf.printf "cold pass %.1f ms/req, warm passes %.3f ms/req (x%.0f cache speedup)\n" cold_ms
-    warm_ms speedup;
-  Printf.printf
-    "sustained %.0f req/s, hit ratio %.2f (%d hits / %d misses), cold=warm bodies: %b\n" rps
-    hit_ratio st.Ndp_serve.Cache.hits st.Ndp_serve.Cache.misses identical;
-  (rps, hit_ratio, cold_ms, warm_ms, speedup, identical)
-
-let micro ?(json = false) () =
+let micro () =
   let open Bechamel in
   let open Toolkit in
   let mesh = Ndp_noc.Mesh.create ~cols:6 ~rows:6 in
@@ -139,19 +83,9 @@ let micro ?(json = false) () =
       (Staged.stage (fun () ->
            Ndp_ir.Parser.statement "X[i] = Y[i] * (Z[i] + W[2*i+1]) - V[i] / U[i]"))
   in
-  let bench_pipeline =
-    Test.make ~name:"compile+simulate-cholesky"
-      (Staged.stage (fun () ->
-           Ndp_core.Pipeline.Job.run
-             (Ndp_core.Pipeline.Job.make
-                (Ndp_core.Pipeline.Partitioned
-                   { Ndp_core.Pipeline.partitioned_defaults with
-                     Ndp_core.Pipeline.window = Ndp_core.Pipeline.Fixed 2 })
-                kernel)))
-  in
   (* Observability overhead: a disabled-registry bump must be a single
      predictable branch, and a fully observed pipeline run should cost a
-     few percent over the unobserved one above. *)
+     few percent over the unobserved baseline below. *)
   let bench_metrics_disabled =
     let c = Ndp_obs.Metrics.counter Ndp_obs.Metrics.disabled "bench.dead" in
     Test.make ~name:"metrics-incr-x1000-disabled"
@@ -169,22 +103,11 @@ let micro ?(json = false) () =
              Ndp_obs.Metrics.incr c
            done))
   in
-  let bench_pipeline_obs =
-    Test.make ~name:"compile+simulate-cholesky-observed"
-      (Staged.stage (fun () ->
-           let obs = Ndp_obs.Sink.create ~metrics:true ~trace:true () in
-           Ndp_core.Pipeline.Job.run ~obs
-             (Ndp_core.Pipeline.Job.make
-                (Ndp_core.Pipeline.Partitioned
-                   { Ndp_core.Pipeline.partitioned_defaults with
-                     Ndp_core.Pipeline.window = Ndp_core.Pipeline.Fixed 2 })
-                kernel)))
-  in
   (* Span overhead, same discipline as the metrics pair: a disabled
      enter/exit is one branch and no allocation; the enabled side pays
-     the clock reads and log append. The pipeline pair below bounds the
-     end-to-end cost of tracing a whole compile+simulate (the acceptance
-     bar is <=5% over the untraced run). *)
+     the clock reads and log append. [pipeline-spans-enabled] below
+     bounds the end-to-end cost of tracing a whole compile+simulate (the
+     acceptance bar is <=5% over the untraced baseline). *)
   let bench_spans_disabled =
     Test.make ~name:"span-enter-exit-x1000-disabled"
       (Staged.stage (fun () ->
@@ -235,38 +158,25 @@ let micro ?(json = false) () =
     Test.make ~name:"dependence-analyze-band8-384"
       (Staged.stage (fun () -> Dep.analyze ~band:8 dep_resolver dep_stream))
   in
-  (* Fault-injection overhead: the [?faults] hook adds one option branch
-     per link traversal when disabled, and a plan that touches no link on
-     the hot routes should cost little when enabled. *)
+  (* The unobserved baseline every pipeline overhead row is read against:
+     one cholesky compile+simulate under a fixed window of 2, the job
+     built once. Each variant below runs the same job with one thing
+     switched on. *)
   let fixed2 =
     Ndp_core.Pipeline.Partitioned
       { Ndp_core.Pipeline.partitioned_defaults with
         Ndp_core.Pipeline.window = Ndp_core.Pipeline.Fixed 2 }
   in
   let fixed2_job = Ndp_core.Pipeline.Job.make fixed2 kernel in
-  let bench_inject_disabled =
-    Test.make ~name:"pipeline-inject-disabled"
+  let bench_pipeline =
+    Test.make ~name:"compile+simulate-cholesky"
       (Staged.stage (fun () -> Ndp_core.Pipeline.Job.run fixed2_job))
   in
-  let bench_inject_enabled =
-    let mesh = Ndp_sim.Config.mesh Ndp_sim.Config.default in
-    let faults =
-      Ndp_fault.Plan.make ~mesh ~seed:42 [ Ndp_fault.Plan.Degrade_link (0, 1, 2.0) ]
-    in
-    Test.make ~name:"pipeline-inject-enabled"
+  let bench_pipeline_obs =
+    Test.make ~name:"compile+simulate-cholesky-observed"
       (Staged.stage (fun () ->
-           Ndp_core.Pipeline.Job.run (Ndp_core.Pipeline.Job.make ~faults fixed2 kernel)))
-  in
-  (* Profiling overhead: the attribution ledger tags every NoC message and
-     the timeline samples six counters every 1000 cycles; the enabled run
-     should stay within ~10% of the unobserved pipeline. *)
-  let bench_profile_disabled =
-    Test.make ~name:"pipeline-profile-disabled"
-      (Staged.stage (fun () -> Ndp_core.Pipeline.Job.run fixed2_job))
-  in
-  let bench_pipeline_spans_disabled =
-    Test.make ~name:"pipeline-spans-disabled"
-      (Staged.stage (fun () -> Ndp_core.Pipeline.Job.run fixed2_job))
+           let obs = Ndp_obs.Sink.create ~metrics:true ~trace:true () in
+           Ndp_core.Pipeline.Job.run ~obs fixed2_job))
   in
   let bench_pipeline_spans_enabled =
     Test.make ~name:"pipeline-spans-enabled"
@@ -276,6 +186,22 @@ let micro ?(json = false) () =
            in
            Ndp_core.Pipeline.Job.run ~obs fixed2_job))
   in
+  (* Fault-injection overhead: the [?faults] hook adds one option branch
+     per link traversal when disabled (the baseline pays it), and a plan
+     that touches no link on the hot routes should cost little when
+     enabled. *)
+  let bench_inject_enabled =
+    let mesh = Ndp_sim.Config.mesh Ndp_sim.Config.default in
+    let faults =
+      Ndp_fault.Plan.make ~mesh ~seed:42 [ Ndp_fault.Plan.Degrade_link (0, 1, 2.0) ]
+    in
+    let job = Ndp_core.Pipeline.Job.make ~faults fixed2 kernel in
+    Test.make ~name:"pipeline-inject-enabled"
+      (Staged.stage (fun () -> Ndp_core.Pipeline.Job.run job))
+  in
+  (* Profiling overhead: the attribution ledger tags every NoC message and
+     the timeline samples six counters every 1000 cycles; the enabled run
+     should stay within ~10% of the baseline. *)
   let bench_profile_enabled =
     Test.make ~name:"pipeline-profile-enabled"
       (Staged.stage (fun () ->
@@ -371,21 +297,25 @@ let micro ?(json = false) () =
   let tests =
     Test.make_grouped ~name:"ndp"
       [
-        bench_mst; bench_route; bench_nested; bench_parse; bench_pipeline;
-        bench_metrics_disabled; bench_metrics_enabled; bench_pipeline_obs;
+        bench_mst; bench_route; bench_nested; bench_parse;
+        bench_metrics_disabled; bench_metrics_enabled;
         bench_spans_disabled; bench_spans_enabled;
-        bench_pipeline_spans_disabled; bench_pipeline_spans_enabled;
         bench_dep_bucketed; bench_dep_banded; bench_choose_analytic;
-        bench_inject_disabled; bench_inject_enabled; bench_pipeline_fused;
+        bench_pipeline_fused;
         bench_net_send; bench_load_hit; bench_load_miss; bench_exec_task;
       ]
   in
-  (* The profile pair gets its own longer quota: at ~40 ms per run the
-     default 0.5 s quota yields ~12 samples — too few for a stable OLS
-     slope on a shared machine — and the claim riding on this pair is a
-     ~10% overhead bound, so it needs the tighter estimate. *)
-  let profile_tests =
-    Test.make_grouped ~name:"ndp" [ bench_profile_disabled; bench_profile_enabled ]
+  (* The baseline and its overhead variants get a longer quota: at ~40 ms
+     per run the default 0.5 s quota yields ~12 samples — too few for a
+     stable OLS slope on a shared machine — and the claims riding on these
+     rows are overhead bounds of a few percent, so they need the tighter
+     estimate. *)
+  let pipeline_tests =
+    Test.make_grouped ~name:"ndp"
+      [
+        bench_pipeline; bench_pipeline_obs; bench_pipeline_spans_enabled;
+        bench_inject_enabled; bench_profile_enabled;
+      ]
   in
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
   let instances = Instance.[ monotonic_clock ] in
@@ -406,60 +336,11 @@ let micro ?(json = false) () =
       results
   in
   run_group (Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.5) ()) tests;
-  run_group (Benchmark.cfg ~limit:1000 ~quota:(Time.second 4.0) ()) profile_tests;
+  run_group (Benchmark.cfg ~limit:1000 ~quota:(Time.second 4.0) ()) pipeline_tests;
   print_endline "== Micro-benchmarks (ns per run, OLS estimate) ==";
   List.iter
     (fun (test, est) -> Printf.printf "%-40s %12.1f ns\n" test est)
-    (List.sort compare !estimates);
-  if json then begin
-    (* The trajectory file: per-test estimates plus the wall-clock of the
-       full validation gate (the `ndp_run check` sweep), so later PRs can
-       show speedups against a recorded baseline. *)
-    let jobs = Ndp_prelude.Pool.default_jobs () in
-    let kernels = List.map Ndp_workloads.Suite.find Ndp_workloads.Suite.names in
-    let schemes =
-      [
-        Ndp_core.Pipeline.Default;
-        Ndp_core.Pipeline.Partitioned Ndp_core.Pipeline.partitioned_defaults;
-      ]
-    in
-    let t0 = Unix.gettimeofday () in
-    let reports = Ndp_analysis.Checker.check_suite ~jobs ~schemes kernels in
-    let gate_seconds = Unix.gettimeofday () -. t0 in
-    let gate_errors = Ndp_analysis.Checker.has_errors reports in
-    let rps, hit_ratio, cold_ms, warm_ms, speedup, identical = serve_loadgen () in
-    (* Provenance header for `ndp_run bench diff`: shown when comparing
-       snapshots, never part of the deltas. *)
-    let timestamp =
-      let tm = Unix.gmtime (Unix.time ()) in
-      Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900)
-        (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec
-    in
-    let commit =
-      match Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" with
-      | ic ->
-        let line = try input_line ic with End_of_file -> "" in
-        (match Unix.close_process_in ic with Unix.WEXITED 0 -> line | _ -> "")
-      | exception _ -> ""
-    in
-    let hostname = try Unix.gethostname () with _ -> "" in
-    let oc = open_out "BENCH_micro.json" in
-    let tests =
-      List.sort compare !estimates
-      |> List.map (fun (test, est) -> Printf.sprintf "    {\"name\": %S, \"ns\": %.1f}" test est)
-    in
-    Printf.fprintf oc
-      "{\n  \"meta\": {\"timestamp\": %S, \"commit\": %S, \"jobs\": %d, \"hostname\": %S},\n\
-      \  \"tests\": [\n%s\n  ],\n  \"full_gate\": {\"seconds\": %.3f, \"jobs\": %d, \
-       \"errors\": %b},\n  \"serve\": {\"req_per_s\": %.1f, \"hit_ratio\": %.4f, \
-       \"cold_ms_per_req\": %.3f, \"warm_ms_per_req\": %.4f, \"warm_speedup\": %.1f, \
-       \"bodies_identical\": %b}\n}\n"
-      timestamp commit jobs hostname (String.concat ",\n" tests) gate_seconds jobs gate_errors
-      rps hit_ratio cold_ms warm_ms speedup identical;
-    close_out oc;
-    Printf.printf "full gate (check sweep, %d jobs): %.1f s -> BENCH_micro.json\n" jobs
-      gate_seconds
-  end
+    (List.sort compare !estimates)
 
 (* The declarative subcommand table: name, one-line summary, run function
    over the remaining argv words. Usage is generated from the table. *)
@@ -504,16 +385,7 @@ let () =
             micro ());
       };
       { name = "ablation"; summary = "the DESIGN.md ablations"; run = (fun _ -> E.Ablation.all common) };
-      {
-        name = "micro";
-        summary = "Bechamel micro-benchmarks; --json also writes BENCH_micro.json";
-        run = (fun args -> micro ~json:(List.mem "--json" args) ());
-      };
-      {
-        name = "serve";
-        summary = "load-generate against an in-process serve daemon (req/s, cache hit ratio)";
-        run = (fun _ -> ignore (serve_loadgen ()));
-      };
+      { name = "micro"; summary = "Bechamel micro-benchmarks"; run = (fun _ -> micro ()) };
       {
         name = "sweep";
         summary = "compile cholesky once, replay the schedule across cost-model variants";

@@ -777,52 +777,6 @@ let client_act op spec socket interval top threshold metrics meta =
   | `Shutdown -> send Protocol.Shutdown
 
 (* ------------------------------------------------------------------ *)
-(* bench diff: the perf-regression sentinel                            *)
-
-let bench_diff_act old_file new_file threshold format =
-  let slurp path =
-    match In_channel.with_open_bin path In_channel.input_all with
-    | s -> Ok s
-    | exception Sys_error msg -> Error msg
-  in
-  let report =
-    Result.bind (slurp old_file) @@ fun old_text ->
-    Result.bind (slurp new_file) @@ fun new_text ->
-    Ndp_obs.Bench_diff.compare_strings ~threshold ~old_text ~new_text ()
-  in
-  match report with
-  | Error msg ->
-    Printf.eprintf "ndp_run bench diff: %s\n" msg;
-    exit 2
-  | Ok r ->
-    print_endline
-      (Render.output format
-         ~human:(fun () -> Ndp_obs.Bench_diff.render r)
-         (Ndp_obs.Bench_diff.to_json r));
-    if Ndp_obs.Bench_diff.has_regressions r then exit 1
-
-let bench_old_arg =
-  Arg.(
-    required
-    & pos 0 (some string) None
-    & info [] ~docv:"OLD.json" ~doc:"Baseline benchmark snapshot (BENCH_micro.json shape).")
-
-let bench_new_arg =
-  Arg.(
-    required
-    & pos 1 (some string) None
-    & info [] ~docv:"NEW.json" ~doc:"Candidate benchmark snapshot to compare against OLD.")
-
-let bench_threshold_arg =
-  Arg.(
-    value
-    & opt float 10.0
-    & info [ "threshold" ] ~docv:"PCT"
-        ~doc:
-          "Regression threshold in percent: a benchmark whose per-iteration time grew by \
-           more than PCT fails the diff (nonzero exit).")
-
-(* ------------------------------------------------------------------ *)
 
 let socket_arg =
   Arg.(
@@ -1040,22 +994,7 @@ let commands =
     };
   ]
 
-(* [bench] is a command group of its own: [bench diff] compares two
-   benchmark snapshots (the perf-regression sentinel check.sh runs). *)
-let bench_cmd =
-  let diff =
-    Cmd.v
-      (Cmd.info "diff"
-         ~doc:
-           "Compare two BENCH_micro.json snapshots per benchmark and exit nonzero when any \
-            grew beyond --threshold percent. The meta blocks (timestamp, commit, jobs, host) \
-            are shown in the header but never affect the deltas.")
-      Term.(
-        const bench_diff_act $ bench_old_arg $ bench_new_arg $ bench_threshold_arg $ Args.format)
-  in
-  Cmd.group (Cmd.info "bench" ~doc:"Benchmark snapshot tooling (perf-regression sentinel).") [ diff ]
-
 let () =
   let info = Cmd.info "ndp_run" ~doc:"Data-movement-aware computation partitioning playground." in
   let cmds = List.map (fun c -> Cmd.v (Cmd.info c.name ~doc:c.summary) c.term) commands in
-  exit (Cmd.eval (Cmd.group info (cmds @ [ bench_cmd ])))
+  exit (Cmd.eval (Cmd.group info cmds))

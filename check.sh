@@ -12,8 +12,6 @@
 # gate (one JSONL access-log
 # line per request, a well-formed Prometheus exposition, and per-phase
 # span sums reconciling with the request-latency histogram within 5%),
-# the bench sentinel (`bench diff` accepts the committed BENCH_micro.json
-# against itself and provably rejects a synthetic 2x regression),
 # the fusion reconciliation gate (the fusion
 # decision table must show a real >=15% measured flit-hop reduction on
 # the residual-block chain workload), the end-to-end benchmark's
@@ -27,7 +25,8 @@
 # schedules are race-validated over the whole suite here). Every phase
 # runs even when an earlier one fails; the gate
 # exits nonzero naming each failed phase, so a broken build can no longer
-# mask a broken test phase (or vice versa). See DESIGN.md "Analysis &
+# mask a broken test phase (or vice versa). Within a phase, the first
+# failing command fails it. See DESIGN.md "Analysis &
 # validation" for the diagnostic codes and "Fault model & repair" for the
 # fault phase.
 #
@@ -57,13 +56,31 @@ phase() {
   _name=$1
   shift
   _t0=$(now)
-  if "$@"; then
+  # Not `if "$@"`: sh ignores `set -e` inside a command whose status `if`
+  # tests, so only a gate's last command would decide its verdict.
+  "$@"
+  _rc=$?
+  if [ "$_rc" -eq 0 ]; then
     echo "phase $_name: $(($(now) - _t0))s"
   else
     echo "phase $_name: FAILED ($(($(now) - _t0))s)" >&2
     failures="$failures $_name"
   fi
 }
+
+# Self-check of the runner itself: a gate whose first command fails and
+# whose last succeeds must be reported as failed.
+phase_probe_gate() (
+  set -e
+  false
+  true
+)
+phase phase-probe phase_probe_gate 2>/dev/null
+if [ "$failures" != " phase-probe" ]; then
+  echo "check.sh: phase passed a gate whose first command failed" >&2
+  exit 1
+fi
+failures=""
 
 obs_gate() (
   # Trace an app end-to-end, self-check the trace against the aggregate
@@ -137,13 +154,14 @@ serve_gate() (
   _meta=$(mktemp /tmp/ndp_meta.XXXXXX.txt)
   dune exec bin/ndp_run.exe -- serve --socket "$_sock" 2>/dev/null &
   _daemon=$!
+  # A failing step exits the gate at once; never leave the daemon behind.
+  trap 'kill "$_daemon" 2>/dev/null || true; rm -f "$_sock" "$_cold" "$_warm" "$_meta"' EXIT
   # The daemon unlinks any stale socket then binds; poll for the file.
   _tries=0
   while [ ! -S "$_sock" ]; do
     _tries=$((_tries + 1))
     if [ "$_tries" -gt 100 ]; then
       echo "serve_gate: daemon never bound $_sock" >&2
-      kill "$_daemon" 2>/dev/null || true
       exit 1
     fi
     sleep 0.1
@@ -165,7 +183,6 @@ serve_gate() (
   done
   "$_client" client shutdown --socket "$_sock" >/dev/null
   wait "$_daemon"
-  rm -f "$_sock" "$_cold" "$_warm" "$_meta"
   [ "$_parity" -eq 0 ]
 )
 
@@ -226,12 +243,12 @@ PY
   : >"$_log"
   dune exec bin/ndp_run.exe -- serve --socket "$_sock" --access-log "$_log" 2>/dev/null &
   _daemon=$!
+  trap 'kill "$_daemon" 2>/dev/null || true; rm -f "$_log" "$_reqs" "$_prom" "$_sock"' EXIT
   _tries=0
   while [ ! -S "$_sock" ]; do
     _tries=$((_tries + 1))
     if [ "$_tries" -gt 100 ]; then
       echo "telemetry_gate: daemon never bound $_sock" >&2
-      kill "$_daemon" 2>/dev/null || true
       exit 1
     fi
     sleep 0.1
@@ -285,31 +302,6 @@ assert 0.95 <= ratio <= 1.0, \
     % (phase_ms, d['ms'], ratio)
 PY
   fi
-  rm -f "$_log" "$_reqs" "$_prom" "$_sock"
-)
-
-bench_sentinel_gate() (
-  # The perf-regression sentinel must accept the committed baseline
-  # against itself, and its self-test must prove it can actually fire:
-  # a copy with one benchmark synthetically doubled has to come back
-  # nonzero. A sentinel that cannot reject anything guards nothing.
-  set -e
-  dune exec bin/ndp_run.exe -- bench diff BENCH_micro.json BENCH_micro.json >/dev/null
-  if command -v python3 >/dev/null 2>&1; then
-    _slow=$(mktemp /tmp/ndp_bench_slow.XXXXXX.json)
-    python3 -c "
-import json, sys
-d = json.load(open('BENCH_micro.json'))
-d['tests'][0]['ns'] *= 2.0
-json.dump(d, open(sys.argv[1], 'w'))
-" "$_slow"
-    if dune exec bin/ndp_run.exe -- bench diff BENCH_micro.json "$_slow" >/dev/null; then
-      echo "bench_sentinel_gate: bench diff failed to flag a 2x regression" >&2
-      rm -f "$_slow"
-      exit 1
-    fi
-    rm -f "$_slow"
-  fi
 )
 
 fault_gate() (
@@ -358,15 +350,12 @@ alloc_ratchet_gate() (
   _ceiling=3.48
   _res=$(mktemp /tmp/ndp_alloc.XXXXXX.txt)
   _log=$(mktemp /tmp/ndp_alloc_log.XXXXXX.txt)
+  trap 'rm -f "$_res" "$_log"' EXIT
   if ! python3 perfbench/run.py --workload suite --seed 1 --seconds 1 --trace 0 >"$_res" 2>"$_log"; then
     cat "$_log" >&2
-    rm -f "$_res" "$_log"
     exit 1
   fi
-  # `phase` runs this under `if`, where `set -e` has no effect, so the
-  # verdict below is passed on explicitly.
-  _status=0
-  python3 - "$_res" "$_ceiling" <<'PY' || _status=1
+  python3 - "$_res" "$_ceiling" <<'PY'
 import json, sys
 d = json.loads(open(sys.argv[1]).read().strip().splitlines()[-1])
 ceiling = float(sys.argv[2])
@@ -376,8 +365,6 @@ assert words <= ceiling, \
     'alloc_mwords_per_req %.4f is above the ceiling %.4f' % (words, ceiling)
 print('alloc_mwords_per_req %.4f (ceiling %.4f)' % (words, ceiling))
 PY
-  rm -f "$_res" "$_log"
-  exit "$_status"
 )
 
 phase build dune build
@@ -388,7 +375,6 @@ phase analyze analyze_gate
 phase fault fault_gate
 phase serve serve_gate
 phase telemetry telemetry_gate
-phase bench-sentinel bench_sentinel_gate
 phase fusion fusion_gate
 phase perfbench-selftest perfbench_selftest_gate
 phase alloc-ratchet alloc_ratchet_gate
@@ -402,7 +388,7 @@ fi
 total=$(($(now) - t_start))
 # Wall-clock budget: warn (without failing) when the full gate overruns,
 # so a perf regression surfaces in every run, not only when someone
-# re-benchmarks. BENCH_micro.json records the measured gate time.
+# re-benchmarks. ROADMAP.md records the measured gate time.
 budget=90
 echo "gate budget: ${total}s of ${budget}s"
 if [ "$total" -gt "$budget" ]; then

@@ -63,10 +63,6 @@ val result_json : Ndp_core.Pipeline.result -> Ndp_obs.Render.Json.t
 
 val metrics_json : Ndp_obs.Metrics.t -> Ndp_obs.Render.Json.t
 
-val metrics_human : Ndp_obs.Metrics.t -> string
-
-val plan_json : Ndp_fault.Plan.t -> spec:string -> repair:bool -> Ndp_obs.Render.Json.t
-
 val link_flits_total : Ndp_obs.Metrics.t -> int
 (** Sum of [noc.link_flits{..}] over every link — the ledger
     reconciliation target. *)
